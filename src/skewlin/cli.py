@@ -221,6 +221,8 @@ def _run_repr_decompose(args, out):
             instance = json.load(handle)
     else:
         instance = json.load(sys.stdin)
+    if not isinstance(instance, dict):
+        raise ValueError("repr-decompose input must be a JSON object")
     source = representation_from_json(instance["f"])
     target = representation_from_json(instance["g"])
     morphism = morphism_from_json(instance["morphism"], source, target)

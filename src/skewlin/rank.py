@@ -1,20 +1,33 @@
 """Rank via nonsingular minors, row dependence, and solvers for x*A = b.
 
 Rank is *defined* as the largest order of a square minor with a two-sided
-inverse, so the definition is the implementation: minors are enumerated in
-decreasing order, lexicographically within each order, and the first
-nonsingular one found is the major minor.  This makes the reported minor
-deterministic at desk scale (n <= 6), which the solvers and tests rely on.
+inverse.  Minors are enumerated in decreasing order, lexicographically by
+rows and then by columns within each order, and the first nonsingular one
+in that enumeration is the major minor; its index sets are what the
+solvers and :class:`RankReport` carry.
+
+The major minor is computed in one forward elimination pass with left row
+operations rather than by testing minors:
+
+* rows: each row, in order, is reduced against the echelon rows kept so
+  far and kept when a nonzero remains.  Left-independent rows form a
+  matroid, so this greedy choice is the lexicographically first set of
+  ``rank`` independent rows, the rows of the major minor;
+* columns: the minor's columns are the pivot (leading) columns of the kept
+  rows' echelon form.  Left row operations preserve every right dependence
+  among columns, so the pivots are the first nonsingular column set.
+
+The pass costs polynomial time, whatever the rank deficiency.  The tests
+keep the literal enumeration as the oracle for both readings.
 
 All index sets are 1-based and refer to the matrix's own display grid.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .errors import InvalidRowError, SingularMatrixError
-from .matrix import Matrix, extended_matrix, rc_product
-from .quasidet import is_rc_nonsingular, rc_inverse
+from .errors import DimensionMismatch, InvalidRowError, SingularMatrixError
+from .matrix import Matrix, rc_product
+from .quasidet import rc_inverse
 
 
 @dataclass(frozen=True)
@@ -45,14 +58,75 @@ class RankReport:
     minor: "IndexSelection | None"  # None exactly when rank == 0
 
 
+def _eliminate_rows(a, track):
+    """One forward elimination pass over the rows of ``a``, in order, with
+    left row operations.
+
+    Returns ``(kept, echelon, dependences)``.  ``kept`` lists the 0-based
+    rows that stayed independent of the rows before them.  ``echelon`` holds
+    one ``(pivot, tail, combination)`` per kept row, sorted by pivot column:
+    the row reduced against the earlier kept rows and scaled to a one at its
+    pivot, stored as the ``(column, entry)`` pairs of its nonzero entries
+    right of the pivot.  With ``track`` set, ``combination`` maps original
+    rows to the left coefficients that produce the echelon row, and
+    ``dependences`` maps each dependent row ``p`` to the combination that
+    annihilates ``a``: one at ``p``, minus its dependence on the kept rows.
+    Without ``track`` both are left empty and the pass stops once every
+    column holds a pivot.
+    """
+    zero = a.field.zero()
+    kept, echelon, dependences = [], [], {}
+    for p, cells in enumerate(a.cells):
+        if not track and len(echelon) == a.cols:
+            break
+        entries = list(cells)
+        combination = {p: a.field.one()} if track else None
+        _reduce(entries, combination, echelon, zero)
+        pivot = next((j for j, e in enumerate(entries) if not e.is_zero()), None)
+        if pivot is None:
+            if track:
+                dependences[p] = combination
+            continue
+        scale = entries[pivot].inverse()
+        tail = [
+            (j, scale * e)
+            for j, e in enumerate(entries[pivot + 1:], pivot + 1)
+            if not e.is_zero()
+        ]
+        if track:
+            combination = {i: scale * c for i, c in combination.items()}
+        echelon.append((pivot, tail, combination))
+        echelon.sort(key=lambda row: row[0])
+        kept.append(p)
+    return kept, echelon, dependences
+
+
+def _reduce(entries, combination, echelon, zero):
+    """Subtract left multiples of the echelon rows from ``entries`` (changed
+    in place) until it is zero on every pivot column.  Going by increasing
+    pivot never disturbs a column already cleared, since each echelon row is
+    zero left of its pivot.  The same operations are applied to
+    ``combination`` unless it is None."""
+    for pivot, tail, row_combination in echelon:
+        lead = entries[pivot]
+        if lead.is_zero():
+            continue
+        entries[pivot] = zero
+        for j, e in tail:
+            entries[j] = entries[j] - lead * e
+        if combination is not None:
+            for i, c in row_combination.items():
+                combination[i] = combination.get(i, zero) - lead * c
+
+
 def rc_rank(a):
     """Rank and major minor under the row-times-column product."""
-    for k in range(min(a.rows, a.cols), 0, -1):
-        for rows in combinations(range(1, a.rows + 1), k):
-            for cols in combinations(range(1, a.cols + 1), k):
-                if is_rc_nonsingular(a.minor(rows, cols)):
-                    return RankReport(k, IndexSelection(rows, cols))
-    return RankReport(0, None)
+    kept, echelon, _ = _eliminate_rows(a, track=False)
+    if not kept:
+        return RankReport(0, None)
+    rows = tuple(p + 1 for p in kept)
+    cols = tuple(pivot + 1 for pivot, _, _ in echelon)
+    return RankReport(len(kept), IndexSelection(rows, cols))
 
 
 def cr_rank(a):
@@ -110,42 +184,40 @@ class SolutionSet:
 
 def solve_general(a, b):
     """Solve ``x * a = b`` for an arbitrary m x n matrix ``a`` and 1 x n row
-    ``b``.  Consistency is decided by the rank criterion: the system has a
-    solution iff ``a`` and the extended matrix have equal rank."""
-    report = rc_rank(a)
-    k = report.rank
-    row_set = report.minor.rows if report.minor else ()
-    col_set = report.minor.cols if report.minor else ()
-    free = tuple(p for p in range(1, a.rows + 1) if p not in row_set)
+    ``b``.  The system is consistent iff ``b`` lies in the left row span of
+    ``a``, which is the rank criterion: ``a`` and the extended matrix have
+    equal rank.  One elimination pass over the rows of ``a`` gives the major
+    minor, the homogeneous basis (one row per dependent row) and, by reducing
+    ``b`` against the echelon rows, consistency and the particular solution.
+    """
+    if b.rows != 1 or b.cols != a.cols:
+        raise DimensionMismatch(
+            f"right-hand side must be 1 x {a.cols}, got {b.shape}"
+        )
+    zero = a.field.zero()
+    _, echelon, dependences = _eliminate_rows(a, track=True)
+    free = tuple(p + 1 for p in dependences)
+    basis = tuple(_combination_row(c, a) for c in dependences.values())
 
-    basis = []
-    for p in free:
-        coeffs = row_dependence(a, report, p)
-        entries = [a.field.zero()] * a.rows
-        entries[p - 1] = a.field.one()
-        for idx, s in enumerate(row_set):
-            entries[s - 1] = -coeffs[0, idx]
-        basis.append(Matrix.row(entries, field=a.field))
-
-    consistent = rc_rank(extended_matrix(a, b)).rank == k
-    if not consistent:
-        return SolutionSet(False, None, tuple(basis), free)
-
-    if k == 0:
-        particular = Matrix.zeros(1, a.rows, field=a.field)
-    else:
-        core = a.minor(row_set, col_set)
-        rhs = Matrix.row([b[0, t - 1] for t in col_set], field=a.field)
-        core_solution = solve_nonsingular(core, rhs)
-        entries = [a.field.zero()] * a.rows
-        for idx, s in enumerate(row_set):
-            entries[s - 1] = core_solution[0, idx]
-        particular = Matrix.row(entries, field=a.field)
-    # Columns outside the core are satisfied automatically (they are right
-    # combinations of the core columns of the extended matrix); guard anyway.
+    entries = list(b.cells[0])
+    combination = {}
+    _reduce(entries, combination, echelon, zero)
+    if not all(e.is_zero() for e in entries):
+        return SolutionSet(False, None, basis, free)
+    # b minus the combination of rows is zero, so b is the negated combination;
+    # rows outside the major minor never enter it, so free variables are zero.
+    particular = _combination_row({i: -c for i, c in combination.items()}, a)
     if rc_product(particular, a) != b:
-        raise SingularMatrixError("internal: core solution fails on a non-core column")
-    return SolutionSet(True, particular, tuple(basis), free)
+        raise SingularMatrixError("internal: particular solution fails x * a == b")
+    return SolutionSet(True, particular, basis, free)
+
+
+def _combination_row(combination, a):
+    """The 1 x m row of left coefficients on the rows of ``a``."""
+    entries = [a.field.zero()] * a.rows
+    for i, c in combination.items():
+        entries[i] = c
+    return Matrix.row(entries, field=a.field)
 
 
 def rc_singular_family(b, c, d):

@@ -397,12 +397,20 @@ def representation_to_json(rep):
 
 
 def representation_from_json(data):
-    algebra = data["algebra"]
-    monoid = FiniteMonoid(tuple(tuple(row) for row in algebra["table"]), algebra["unit"])
-    if monoid.size != algebra["size"]:
+    """Decode the wire format; raises ValueError when a field has the wrong
+    JSON type, so that malformed input is reported, never a TypeError."""
+    data = _json_object(data, "representation")
+    algebra = _json_object(data["algebra"], "algebra")
+    monoid = FiniteMonoid(
+        _json_index_rows(algebra["table"], "algebra table"),
+        _json_index(algebra["unit"], "algebra unit"),
+    )
+    if monoid.size != _json_index(algebra["size"], "algebra size"):
         raise ValueError("declared algebra size does not match the table")
     return FiniteRepresentation(
-        monoid, data["carrier"], tuple(tuple(row) for row in data["action"])
+        monoid,
+        _json_index(data["carrier"], "carrier"),
+        _json_index_rows(data["action"], "action"),
     )
 
 
@@ -411,4 +419,35 @@ def morphism_to_json(morphism):
 
 
 def morphism_from_json(data, source, target):
-    return RepMorphism(source, target, tuple(data["r"]), tuple(data["R"]))
+    data = _json_object(data, "morphism")
+    return RepMorphism(
+        source,
+        target,
+        _json_index_list(data["r"], "morphism r"),
+        _json_index_list(data["R"], "morphism R"),
+    )
+
+
+def _json_object(value, what):
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return value
+
+
+def _json_index(value, what):
+    # bool is an int subclass, but true/false are not indices
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_index_list(value, what):
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list of integers")
+    return tuple(_json_index(v, f"{what} entry") for v in value)
+
+
+def _json_index_rows(value, what):
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list of lists of integers")
+    return tuple(_json_index_list(row, what) for row in value)

@@ -44,17 +44,8 @@ def random_nonsingular_matrix(rng, n, bound=9):
 
 def random_singular_matrix(rng, n, bound=4):
     """An n x n matrix of rank at most n-1: rows are left combinations of
-    n-1 random seed rows."""
-    if n == 1:
-        return Matrix.zeros(1, 1)
-    seeds = [random_row(rng, n, bound) for _ in range(n - 1)]
-    rows = []
-    for _ in range(n):
-        combo = Matrix.zeros(1, n)
-        for seed in seeds:
-            combo = combo + seed.scale_left(random_quaternion(rng, bound))
-        rows.append(combo.cells[0])
-    return Matrix(rows)
+    n-1 random seed rows (for n = 1, the 1 x 1 zero matrix)."""
+    return random_rank_deficient_stack(rng, n, n, n - 1, bound)
 
 
 def random_rank_deficient_stack(rng, rows, cols, seed_count, bound=4):

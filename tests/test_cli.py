@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 
 from skewlin import (
     check_morphism,
@@ -205,6 +206,41 @@ def test_repr_decompose_rejects_invalid(monkeypatch):
     )
     assert status == 1
     assert err.strip() == "error: invalid-morphism"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"f":{"algebra":{"table":5,"unit":0,"size":1},"carrier":1,"action":[]},'
+        '"g":{},"morphism":{}}',
+        "[1]",
+        '"f"',
+        '{"f":[],"g":{},"morphism":{}}',
+        '{"f":{"algebra":{"table":[["a"]],"unit":0,"size":1},"carrier":1,'
+        '"action":[[0]]},"g":{},"morphism":{}}',
+        '{"f":{"algebra":{"table":[[0]],"unit":"0","size":1},"carrier":1,'
+        '"action":[[0]]},"g":{},"morphism":{}}',
+        '{"f":{"algebra":{"table":[[0]],"unit":0,"size":1},"carrier":null,'
+        '"action":[[0]]},"g":{},"morphism":{}}',
+    ],
+)
+def test_repr_decompose_mistyped_json_is_input_error(monkeypatch, text):
+    status, out, err = invoke(["repr-decompose"], stdin_text=text, monkeypatch=monkeypatch)
+    assert status == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: input: ")
+
+
+def test_repr_decompose_mistyped_morphism_is_input_error(monkeypatch):
+    instance = _decompose_instance()
+    for bad in (5, {"r": 5, "R": [0, 1, 0, 1]}, {"r": [0, 1, 0, 1], "R": [0, "1", 0, 1]}):
+        instance["morphism"] = bad
+        status, _, err = invoke(
+            ["repr-decompose"], stdin_text=json.dumps(instance), monkeypatch=monkeypatch
+        )
+        assert status == 2
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: input: ")
 
 
 def test_console_script_entry_point():
