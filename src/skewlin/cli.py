@@ -296,6 +296,11 @@ def run(argv, out=None, err=None):
 
 
 def main():
+    # Exact results outgrow Python's int/str conversion limit (absent before
+    # 3.10.7); lift it for the CLI's own process only, never inside run(),
+    # which may execute in a caller's process.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     sys.exit(run(sys.argv[1:]))
 
 

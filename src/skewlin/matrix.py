@@ -210,13 +210,8 @@ def rc_product(a, b):
         raise DimensionMismatch(f"rc product needs {a.shape} x {b.shape} inner match")
     if a.cols == 0 or a.rows == 0 or b.cols == 0:
         return Matrix.zeros(a.rows, b.cols, field=a.field)
-    return Matrix(
-        [
-            [_dot(a.cells[i], [b.cells[k][j] for k in range(b.rows)]) for j in range(b.cols)]
-            for i in range(a.rows)
-        ],
-        field=a.field,
-    )
+    columns = list(zip(*b.cells))
+    return Matrix([[_dot(row, col) for col in columns] for row in a.cells], field=a.field)
 
 
 def cr_product(a, b):
@@ -227,13 +222,8 @@ def cr_product(a, b):
         raise DimensionMismatch(f"cr product needs {b.shape} x {a.shape} outer match")
     if a.rows == 0 or b.rows == 0 or a.cols == 0:
         return Matrix.zeros(b.rows, a.cols, field=a.field)
-    return Matrix(
-        [
-            [_dot([a.cells[k][j] for k in range(a.rows)], b.cells[i]) for j in range(a.cols)]
-            for i in range(b.rows)
-        ],
-        field=a.field,
-    )
+    columns = list(zip(*a.cells))
+    return Matrix([[_dot(col, row) for col in columns] for row in b.cells], field=a.field)
 
 
 def _dot(left, right):

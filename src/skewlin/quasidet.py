@@ -1,10 +1,14 @@
-"""Quasideterminants and matrix inversion over a skew field.
+"""Quasideterminants, inversion and the elimination kernel over a skew field.
 
-A square matrix over a division ring is invertible exactly when Gauss-Jordan
-elimination with left row multiplications runs to completion; the resulting
-inverse is automatically two-sided because one-sided inverses coincide in a
-matrix ring over a division ring.  Elimination is the authoritative, total
-decision procedure here.
+One forward elimination pass with left row operations decides every
+singular/nonsingular question in the library.  :func:`_eliminate_rows` reduces
+each row, in order, against the echelon rows kept so far and keeps it when a
+nonzero remains; :func:`_solve_row` reduces a further row against the kept
+echelon rows and reads off the left coefficients that produce it.  A square
+matrix is invertible exactly when the pass keeps every row, and the inverse
+solves ``x * a = e`` for each unit row ``e``; it is automatically two-sided
+because one-sided inverses coincide in a matrix ring over a division ring.
+``rank`` builds rank, row dependence and the solvers on the same pass.
 
 The quasideterminant at position ``(p, r)`` is the noncommutative analogue of
 a determinant cofactor ratio:
@@ -13,6 +17,10 @@ a determinant cofactor ratio:
                     * inverse(A without row p, col r)
                     * col_r(A without row p)
 
+It is computed as the last pivot of elimination (Gelfand, Gelfand, Retakh and
+Wilson, *Quasideterminants*): eliminate ``A`` without row ``p``, with column
+``r`` moved last; when the pivots fill every other column, reducing row ``p``
+(reordered the same way) leaves exactly the value above in its last entry.
 It is *undefined* (returned as ``None``) whenever the complementary submatrix
 is singular; undefined is distinct from the matrix itself being singular and
 the two states are never conflated.
@@ -22,39 +30,95 @@ from .errors import DimensionMismatch, SingularMatrixError
 from .matrix import Matrix, rc_product
 
 
-def _eliminate(grid, augmented):
-    """In-place forward+back elimination with left multiplications.
+def _eliminate_rows(a, track):
+    """One forward elimination pass over the rows of ``a``, in order, with
+    left row operations.
 
-    Returns False as soon as a pivot column has no nonzero entry (the matrix
-    is singular), True when ``grid`` has been reduced to the identity.
+    Returns ``(kept, echelon, dependences)``.  ``kept`` lists the 0-based
+    rows that stayed independent of the rows before them.  ``echelon`` holds
+    one ``(pivot, tail, combination)`` per kept row, sorted by pivot column:
+    the row reduced against the earlier kept rows and scaled to a one at its
+    pivot, stored as the ``(column, entry)`` pairs of its nonzero entries
+    right of the pivot.  With ``track`` set, ``combination`` maps original
+    rows to the left coefficients that produce the echelon row, and
+    ``dependences`` maps each dependent row ``p`` to the combination that
+    annihilates ``a``: one at ``p``, minus its dependence on the kept rows.
+    Without ``track`` both are left empty and the pass stops once every
+    column holds a pivot.
     """
-    n = len(grid)
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if not grid[r][col].is_zero():
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return False
-        if pivot_row != col:
-            grid[col], grid[pivot_row] = grid[pivot_row], grid[col]
-            if augmented is not None:
-                augmented[col], augmented[pivot_row] = augmented[pivot_row], augmented[col]
-        factor = grid[col][col].inverse()
-        grid[col] = [factor * e for e in grid[col]]
-        if augmented is not None:
-            augmented[col] = [factor * e for e in augmented[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            lead = grid[r][col]
-            if lead.is_zero():
-                continue
-            grid[r] = [e - lead * p for e, p in zip(grid[r], grid[col])]
-            if augmented is not None:
-                augmented[r] = [e - lead * p for e, p in zip(augmented[r], augmented[col])]
-    return True
+    zero = a.field.zero()
+    kept, echelon, dependences = [], [], {}
+    for p, cells in enumerate(a.cells):
+        if not track and len(echelon) == a.cols:
+            break
+        entries = list(cells)
+        combination = {p: a.field.one()} if track else None
+        _reduce(entries, combination, echelon, zero)
+        pivot = next((j for j, e in enumerate(entries) if not e.is_zero()), None)
+        if pivot is None:
+            if track:
+                dependences[p] = combination
+            continue
+        scale = entries[pivot].inverse()
+        tail = [
+            (j, scale * e)
+            for j, e in enumerate(entries[pivot + 1:], pivot + 1)
+            if not e.is_zero()
+        ]
+        if track:
+            combination = {i: scale * c for i, c in combination.items()}
+        echelon.append((pivot, tail, combination))
+        echelon.sort(key=lambda row: row[0])
+        kept.append(p)
+    return kept, echelon, dependences
+
+
+def _reduce(entries, combination, echelon, zero):
+    """Subtract left multiples of the echelon rows from ``entries`` (changed
+    in place) until it is zero on every pivot column.  Going by increasing
+    pivot never disturbs a column already cleared, since each echelon row is
+    zero left of its pivot.  The same operations are applied to
+    ``combination`` unless it is None."""
+    for pivot, tail, row_combination in echelon:
+        lead = entries[pivot]
+        if lead.is_zero():
+            continue
+        entries[pivot] = zero
+        for j, e in tail:
+            entries[j] = entries[j] - lead * e
+        if combination is not None:
+            for i, c in row_combination.items():
+                combination[i] = combination.get(i, zero) - lead * c
+
+
+def _solve_row(entries, echelon, a):
+    """Left coefficients ``x`` (a list, one per row of ``a``) with
+    ``x * a == entries``, from the echelon rows of a tracked pass over ``a``;
+    None when ``entries`` is outside the left row span of ``a``.  Rows that
+    the pass did not keep get a zero coefficient."""
+    zero = a.field.zero()
+    entries = list(entries)
+    combination = {}
+    _reduce(entries, combination, echelon, zero)
+    if not all(e.is_zero() for e in entries):
+        return None
+    # entries minus the combination of rows is zero, so x is its negation
+    x = [zero] * a.rows
+    for i, c in combination.items():
+        x[i] = -c
+    return x
+
+
+def _nonsingular_echelon(a):
+    """Echelon rows of a tracked pass over ``a``; raises
+    :class:`DimensionMismatch` unless ``a`` is square and
+    :class:`SingularMatrixError` unless the pass keeps every row."""
+    if not a.is_square:
+        raise DimensionMismatch(f"only square matrices invert, got {a.shape}")
+    kept, echelon, _ = _eliminate_rows(a, track=True)
+    if len(kept) < a.rows:
+        raise SingularMatrixError(f"matrix {a} is singular")
+    return echelon
 
 
 def rc_inverse(a):
@@ -63,26 +127,17 @@ def rc_inverse(a):
     Raises :class:`SingularMatrixError` when no inverse exists and
     :class:`DimensionMismatch` for non-square input.
     """
-    if not a.is_square:
-        raise DimensionMismatch(f"only square matrices invert, got {a.shape}")
-    n = a.rows
-    if n == 0:
-        return a
-    grid = [list(row) for row in a.cells]
-    one, zero = a.field.one(), a.field.zero()
-    augmented = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    if not _eliminate(grid, augmented):
-        raise SingularMatrixError(f"matrix {a} is singular")
-    return Matrix(augmented, field=a.field)
+    echelon = _nonsingular_echelon(a)
+    unit_rows = Matrix.identity(a.rows, field=a.field).cells
+    return Matrix([_solve_row(e, echelon, a) for e in unit_rows], field=a.field)
 
 
 def is_rc_nonsingular(a):
     """True when ``a`` is square and has a two-sided inverse."""
     if not a.is_square:
         return False
-    if a.rows == 0:
-        return True
-    return _eliminate([list(row) for row in a.cells], None)
+    kept, _, _ = _eliminate_rows(a, track=False)
+    return len(kept) == a.rows
 
 
 def rc_quasideterminant(a, p, r):
@@ -95,18 +150,17 @@ def rc_quasideterminant(a, p, r):
     """
     if not a.is_square:
         raise DimensionMismatch(f"quasideterminant needs a square matrix, got {a.shape}")
-    complement = a.without(p, r)  # validates p, r
+    a.row_entries(p)  # range checks
+    a.column_entries(r)
     n = a.rows
-    if n == 1:
-        return a[0, 0]
-    try:
-        inv = rc_inverse(complement)
-    except SingularMatrixError:
+    # column r moved last: the complement fills the first n - 1 columns
+    cells = [row[:r - 1] + row[r:] + (row[r - 1],) for row in a.cells]
+    target = list(cells.pop(p - 1))
+    _, echelon, _ = _eliminate_rows(Matrix(cells, field=a.field, cols=n), track=False)
+    if [pivot for pivot, _, _ in echelon] != list(range(n - 1)):
         return None
-    row = Matrix.row([a[p - 1, t] for t in range(n) if t != r - 1], field=a.field)
-    col = Matrix.column([a[s, r - 1] for s in range(n) if s != p - 1], field=a.field)
-    correction = rc_product(rc_product(row, inv), col)
-    return a[p - 1, r - 1] - correction[0, 0]
+    _reduce(target, None, echelon, a.field.zero())
+    return target[-1]
 
 
 def cr_quasideterminant(a, i, j):

@@ -281,12 +281,11 @@ class _Scanner:
 
     def take_integer(self):
         start = self.pos
-        digits = ""
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            digits += self.text[self.pos]
             self.pos += 1
-        if not digits:
+        if self.pos == start:
             raise ParseError("expected digits", start)
+        digits = self.text[start:self.pos]
         self._skip_ws()
         return int(digits)
 

@@ -6,8 +6,9 @@ rows and then by columns within each order, and the first nonsingular one
 in that enumeration is the major minor; its index sets are what the
 solvers and :class:`RankReport` carry.
 
-The major minor is computed in one forward elimination pass with left row
-operations rather than by testing minors:
+The major minor is read off the library's one forward elimination pass
+with left row operations (``quasidet._eliminate_rows``) rather than found by
+testing minors:
 
 * rows: each row, in order, is reduced against the echelon rows kept so
   far and kept when a nonzero remains.  Left-independent rows form a
@@ -18,7 +19,9 @@ operations rather than by testing minors:
   among columns, so the pivots are the first nonsingular column set.
 
 The pass costs polynomial time, whatever the rank deficiency.  The tests
-keep the literal enumeration as the oracle for both readings.
+keep the literal enumeration as the oracle for both readings.  Row
+dependence and both solvers reduce rows against the echelon rows of the same
+pass (``quasidet._solve_row``); none of them forms an inverse.
 
 All index sets are 1-based and refer to the matrix's own display grid.
 """
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch, InvalidRowError, SingularMatrixError
 from .matrix import Matrix, rc_product
-from .quasidet import rc_inverse
+from .quasidet import _eliminate_rows, _nonsingular_echelon, _solve_row
 
 
 @dataclass(frozen=True)
@@ -58,67 +61,6 @@ class RankReport:
     minor: "IndexSelection | None"  # None exactly when rank == 0
 
 
-def _eliminate_rows(a, track):
-    """One forward elimination pass over the rows of ``a``, in order, with
-    left row operations.
-
-    Returns ``(kept, echelon, dependences)``.  ``kept`` lists the 0-based
-    rows that stayed independent of the rows before them.  ``echelon`` holds
-    one ``(pivot, tail, combination)`` per kept row, sorted by pivot column:
-    the row reduced against the earlier kept rows and scaled to a one at its
-    pivot, stored as the ``(column, entry)`` pairs of its nonzero entries
-    right of the pivot.  With ``track`` set, ``combination`` maps original
-    rows to the left coefficients that produce the echelon row, and
-    ``dependences`` maps each dependent row ``p`` to the combination that
-    annihilates ``a``: one at ``p``, minus its dependence on the kept rows.
-    Without ``track`` both are left empty and the pass stops once every
-    column holds a pivot.
-    """
-    zero = a.field.zero()
-    kept, echelon, dependences = [], [], {}
-    for p, cells in enumerate(a.cells):
-        if not track and len(echelon) == a.cols:
-            break
-        entries = list(cells)
-        combination = {p: a.field.one()} if track else None
-        _reduce(entries, combination, echelon, zero)
-        pivot = next((j for j, e in enumerate(entries) if not e.is_zero()), None)
-        if pivot is None:
-            if track:
-                dependences[p] = combination
-            continue
-        scale = entries[pivot].inverse()
-        tail = [
-            (j, scale * e)
-            for j, e in enumerate(entries[pivot + 1:], pivot + 1)
-            if not e.is_zero()
-        ]
-        if track:
-            combination = {i: scale * c for i, c in combination.items()}
-        echelon.append((pivot, tail, combination))
-        echelon.sort(key=lambda row: row[0])
-        kept.append(p)
-    return kept, echelon, dependences
-
-
-def _reduce(entries, combination, echelon, zero):
-    """Subtract left multiples of the echelon rows from ``entries`` (changed
-    in place) until it is zero on every pivot column.  Going by increasing
-    pivot never disturbs a column already cleared, since each echelon row is
-    zero left of its pivot.  The same operations are applied to
-    ``combination`` unless it is None."""
-    for pivot, tail, row_combination in echelon:
-        lead = entries[pivot]
-        if lead.is_zero():
-            continue
-        entries[pivot] = zero
-        for j, e in tail:
-            entries[j] = entries[j] - lead * e
-        if combination is not None:
-            for i, c in row_combination.items():
-                combination[i] = combination.get(i, zero) - lead * c
-
-
 def rc_rank(a):
     """Rank and major minor under the row-times-column product."""
     kept, echelon, _ = _eliminate_rows(a, track=False)
@@ -146,23 +88,24 @@ def row_dependence(a, report, p):
     every column, where ``S`` is ``report.minor.rows``.  ``p`` must lie
     outside ``S``.
     """
+    entries = a.row_entries(p)  # range check
     if report.rank == 0:
-        a.row_entries(p)  # range check
         return Matrix.zeros(1, 0, field=a.field)
     sel = report.minor
     if p in sel.rows:
         raise InvalidRowError(f"row {p} belongs to the major minor {sel.rows}")
-    outside_row = Matrix.row(
-        [a[p - 1, t - 1] for t in sel.cols], field=a.field
-    )
-    core_inverse = rc_inverse(a.minor(sel.rows, sel.cols))
-    return rc_product(outside_row, core_inverse)
+    core = a.minor(sel.rows, sel.cols)
+    outside = [entries[t - 1] for t in sel.cols]
+    return Matrix.row(_solve_row(outside, _nonsingular_echelon(core), core), field=a.field)
 
 
 def solve_nonsingular(a, b):
     """Unique solution of ``x * a = b`` for square nonsingular ``a``:
     ``x = b * inverse(a)``.  Raises :class:`SingularMatrixError` otherwise."""
-    return rc_product(b, rc_inverse(a))
+    echelon = _nonsingular_echelon(a)
+    if b.cols != a.rows:
+        raise DimensionMismatch(f"rc product needs {b.shape} x {a.shape} inner match")
+    return Matrix([_solve_row(row, echelon, a) for row in b.cells], field=b.field, cols=a.rows)
 
 
 @dataclass(frozen=True)
@@ -194,19 +137,15 @@ def solve_general(a, b):
         raise DimensionMismatch(
             f"right-hand side must be 1 x {a.cols}, got {b.shape}"
         )
-    zero = a.field.zero()
     _, echelon, dependences = _eliminate_rows(a, track=True)
     free = tuple(p + 1 for p in dependences)
     basis = tuple(_combination_row(c, a) for c in dependences.values())
-
-    entries = list(b.cells[0])
-    combination = {}
-    _reduce(entries, combination, echelon, zero)
-    if not all(e.is_zero() for e in entries):
+    x = _solve_row(b.cells[0], echelon, a)
+    if x is None:
         return SolutionSet(False, None, basis, free)
-    # b minus the combination of rows is zero, so b is the negated combination;
-    # rows outside the major minor never enter it, so free variables are zero.
-    particular = _combination_row({i: -c for i, c in combination.items()}, a)
+    # rows outside the major minor never enter the echelon rows'
+    # combinations, so the free variables are zero.
+    particular = Matrix.row(x, field=a.field)
     if rc_product(particular, a) != b:
         raise SingularMatrixError("internal: particular solution fails x * a == b")
     return SolutionSet(True, particular, basis, free)

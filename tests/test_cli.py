@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from skewlin import (
     identity,
     morphism_from_json,
     parse_matrix,
+    rc_inverse,
     rc_product,
     representation_from_json,
     representation_to_json,
@@ -251,3 +253,31 @@ def test_console_script_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == GOLDEN.read_text()
+
+
+def test_console_script_inverts_past_the_int_str_digit_limit():
+    # 900-digit entries give an inverse whose numerators and denominators
+    # pass Python's default 4300-digit limit on int/str conversion
+    rng = random.Random(900)
+    entries = [
+        [f"{rng.randrange(10**899, 10**900)}+{rng.randrange(10**899, 10**900)}j"
+         for _ in range(3)]
+        for _ in range(3)
+    ]
+    text = "[" + "; ".join(", ".join(row) for row in entries) + "]"
+    result = subprocess.run(
+        [sys.executable, "-m", "skewlin.cli", "inv", text],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        printed = parse_matrix(result.stdout)
+        longest = max(len(str(e.w.denominator)) for row in printed for e in row)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert longest > limit
+    assert printed == rc_inverse(parse_matrix(text))

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +20,11 @@ from skewlin import (
 )
 from skewlin.sampling import random_matrix
 
-rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+# Integer numerators over one shared denominator: every rational in [-4, 4]
+# with denominator 1, 2, 3 or 4 is reachable, and drawing one integer keeps
+# example generation inside Hypothesis's time budget (st.fractions made
+# test_cr_associativity fail the too_slow health check intermittently).
+rationals = st.integers(min_value=-48, max_value=48).map(lambda n: Fraction(n, 12))
 quaternions = st.builds(Quaternion, rationals, rationals, rationals, rationals)
 
 

@@ -93,6 +93,18 @@ def test_row_dependence_rejects_minor_rows(example_matrix):
         row_dependence(example_matrix, report, 1)
 
 
+@pytest.mark.parametrize("p", [0, 4])
+def test_row_dependence_checks_the_row_index(p):
+    # row 2 is twice row 1, so the major minor takes rows 1 and 3
+    a = Matrix([[Quaternion(1), I], [Quaternion(2), 2 * I], [J, K]])
+    report = rc_rank(a)
+    assert report.minor.rows == (1, 3)
+    with pytest.raises(IndexError, match=f"row index {p} out of range 1..3"):
+        row_dependence(a, report, p)
+    with pytest.raises(IndexError, match=f"row index {p} out of range 1..3"):
+        row_dependence(Matrix.zeros(3, 2), rc_rank(Matrix.zeros(3, 2)), p)
+
+
 def test_row_reconstruction_spans_all_columns(rng):
     # reconstruction must hold on every column, not just those of the minor
     for _ in range(10):
