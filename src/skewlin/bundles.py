@@ -52,6 +52,9 @@ class Section:
     def __setattr__(self, name, value):
         raise AttributeError("Section is immutable")
 
+    def __reduce__(self):
+        return (type(self), (self.base, self._values))
+
     def __getitem__(self, label):
         return self._values[self.base.points.index(label)]
 
@@ -116,6 +119,9 @@ class FiberedLinearMap:
 
     def __setattr__(self, name, value):
         raise AttributeError("FiberedLinearMap is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.base, self._matrices))
 
     def __getitem__(self, label):
         return self._matrices[label]

@@ -50,6 +50,17 @@ class MathError(Exception):
         self.code = code
 
 
+class _UsageError(Exception):
+    """Command-line usage problem reported by the argument parser."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse prints usage to the real stderr and exits; raise instead so
+    # run() reports one error line on its own ``err`` stream
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def _fraction_json(f):
     return {"num": f.numerator, "den": f.denominator}
 
@@ -72,7 +83,7 @@ def matrix_json(m):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="skewlin",
         description="Exact skew-field linear algebra on quaternion matrices.",
     )
@@ -216,11 +227,14 @@ def _run_solve(args, out):
 
 
 def _run_repr_decompose(args, out):
-    if args.file:
-        with open(args.file[0], encoding="utf-8") as handle:
-            instance = json.load(handle)
-    else:
-        instance = json.load(sys.stdin)
+    try:
+        if args.file:
+            with open(args.file[0], encoding="utf-8") as handle:
+                instance = json.load(handle)
+        else:
+            instance = json.load(sys.stdin)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
     if not isinstance(instance, dict):
         raise ValueError("repr-decompose input must be a JSON object")
     source = representation_from_json(instance["f"])
@@ -266,33 +280,35 @@ def run(argv, out=None, err=None):
     """Parse ``argv`` (no program name) and execute; returns the exit status."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+    except _UsageError as exc:
+        return _fail(err, 2, f"usage: {exc}")
     except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help; pass both through
-        return exc.code if isinstance(exc.code, int) else 2
+        # --help prints and exits with status 0
+        return exc.code
     try:
         _RUNNERS[args.command](args, out)
     except MathError as exc:
-        print(f"error: {exc.code}", file=err)
-        return 1
+        return _fail(err, 1, exc.code)
     except SingularMatrixError:
-        print("error: singular", file=err)
-        return 1
+        return _fail(err, 1, "singular")
     except ParseError as exc:
-        print(f"error: parse: {exc}", file=err)
-        return 2
+        return _fail(err, 2, f"parse: {exc}")
     except DimensionMismatch as exc:
-        print(f"error: dimension: {exc}", file=err)
-        return 2
+        return _fail(err, 2, f"dimension: {exc}")
     except InvalidMorphismError as exc:
-        print(f"error: invalid-morphism: {exc}", file=err)
-        return 2
+        return _fail(err, 2, f"invalid-morphism: {exc}")
     except (ValueError, IndexError, KeyError, OSError) as exc:
-        print(f"error: input: {exc}", file=err)
-        return 2
+        return _fail(err, 2, f"input: {exc}")
     return 0
+
+
+def _fail(err, status, detail):
+    """Print the one ``error:`` line; line breaks that the detail may echo
+    from the input become spaces."""
+    print("error: " + " ".join(detail.splitlines()), file=err)
+    return status
 
 
 def main():

@@ -57,6 +57,9 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    def __reduce__(self):
+        return (type(self), (self.cells, self.field, self.cols))
+
     # -- constructors --------------------------------------------------------
 
     @classmethod

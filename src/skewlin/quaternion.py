@@ -10,10 +10,10 @@ which makes the two reference quasideterminant values of this library
 (``0`` and ``1+k`` on the built-in 2x2 example) come out right; the mirror
 convention does not.
 
-Internally a value is four integer numerators over one shared positive
-denominator, kept coprime as a 5-tuple; products and sums then cost integer
-work plus a single gcd, which keeps exact elimination on matrices fast.  The
-components are exposed as :class:`fractions.Fraction` values.
+A value is the tuple of its four integer numerators over one shared positive
+denominator, kept coprime; products and sums then cost integer work plus a
+single gcd, which keeps exact elimination on matrices fast.  The tuple layout
+is private: the components are exposed as :class:`fractions.Fraction` values.
 """
 
 from fractions import Fraction
@@ -33,61 +33,52 @@ def _as_fraction(value):
     raise TypeError(f"quaternion components must be exact rationals, got {value!r}")
 
 
-class Quaternion(SkewFieldElement):
+_new = tuple.__new__
+
+
+class Quaternion(tuple, SkewFieldElement):
     """A quaternion ``w + x*i + y*j + z*k`` with exact rational components.
 
-    Immutable; instances may be shared and used concurrently.
+    The value is the tuple ``(nw, nx, ny, nz, den)`` itself: four integer
+    numerators over a positive denominator, in lowest terms, so equal
+    quaternions are equal tuples and hash alike.  The layout is private; use
+    ``w``/``x``/``y``/``z``.  Immutable; instances may be shared and used
+    concurrently.
     """
 
-    __slots__ = ("_nw", "_nx", "_ny", "_nz", "_den")
+    __slots__ = ()
 
-    def __init__(self, w=0, x=0, y=0, z=0):
+    def __new__(cls, w=0, x=0, y=0, z=0):
         fw, fx, fy, fz = (_as_fraction(v) for v in (w, x, y, z))
         den = lcm(fw.denominator, fx.denominator, fy.denominator, fz.denominator)
-        object.__setattr__(self, "_nw", fw.numerator * (den // fw.denominator))
-        object.__setattr__(self, "_nx", fx.numerator * (den // fx.denominator))
-        object.__setattr__(self, "_ny", fy.numerator * (den // fy.denominator))
-        object.__setattr__(self, "_nz", fz.numerator * (den // fz.denominator))
-        object.__setattr__(self, "_den", den)
+        return _new(cls, (
+            fw.numerator * (den // fw.denominator),
+            fx.numerator * (den // fx.denominator),
+            fy.numerator * (den // fy.denominator),
+            fz.numerator * (den // fz.denominator),
+            den,
+        ))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Quaternion is immutable")
-
-    @classmethod
-    def _build(cls, nw, nx, ny, nz, den):
-        """Construct from raw integer numerators over ``den``, normalizing."""
-        g = gcd(nw, nx, ny, nz, den)
-        if g > 1:
-            nw //= g
-            nx //= g
-            ny //= g
-            nz //= g
-            den //= g
-        q = object.__new__(cls)
-        object.__setattr__(q, "_nw", nw)
-        object.__setattr__(q, "_nx", nx)
-        object.__setattr__(q, "_ny", ny)
-        object.__setattr__(q, "_nz", nz)
-        object.__setattr__(q, "_den", den)
-        return q
+    def __reduce__(self):
+        return (type(self), (self.w, self.x, self.y, self.z))
 
     # -- components ----------------------------------------------------------
 
     @property
     def w(self):
-        return Fraction(self._nw, self._den)
+        return Fraction(self[0], self[4])
 
     @property
     def x(self):
-        return Fraction(self._nx, self._den)
+        return Fraction(self[1], self[4])
 
     @property
     def y(self):
-        return Fraction(self._ny, self._den)
+        return Fraction(self[2], self[4])
 
     @property
     def z(self):
-        return Fraction(self._nz, self._den)
+        return Fraction(self[3], self[4])
 
     # -- constants -------------------------------------------------------------
 
@@ -112,32 +103,26 @@ class Quaternion(SkewFieldElement):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d1, d2 = self._den, o._den
-        return Quaternion._build(
-            self._nw * d2 + o._nw * d1,
-            self._nx * d2 + o._nx * d1,
-            self._ny * d2 + o._ny * d1,
-            self._nz * d2 + o._nz * d1,
-            d1 * d2,
-        )
+        a, b, c, d, d1 = self
+        e, f, g, h, d2 = o
+        return _build(a * d2 + e * d1, b * d2 + f * d1, c * d2 + g * d1, d * d2 + h * d1,
+                      d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Quaternion._build(-self._nw, -self._nx, -self._ny, -self._nz, self._den)
+        # a sign change keeps the gcd at 1, so no normalizing is needed
+        nw, nx, ny, nz, den = self
+        return _new(Quaternion, (-nw, -nx, -ny, -nz, den))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d1, d2 = self._den, o._den
-        return Quaternion._build(
-            self._nw * d2 - o._nw * d1,
-            self._nx * d2 - o._nx * d1,
-            self._ny * d2 - o._ny * d1,
-            self._nz * d2 - o._nz * d1,
-            d1 * d2,
-        )
+        a, b, c, d, d1 = self
+        e, f, g, h, d2 = o
+        return _build(a * d2 - e * d1, b * d2 - f * d1, c * d2 - g * d1, d * d2 - h * d1,
+                      d1 * d2)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -149,14 +134,14 @@ class Quaternion(SkewFieldElement):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b, c, d = self._nw, self._nx, self._ny, self._nz
-        e, f, g, h = o._nw, o._nx, o._ny, o._nz
-        return Quaternion._build(
+        a, b, c, d, d1 = self
+        e, f, g, h, d2 = o
+        return _build(
             a * e - b * f - c * g - d * h,
             a * f + b * e + c * h - d * g,
             a * g - b * h + c * e + d * f,
             a * h + b * g - c * f + d * e,
-            self._den * o._den,
+            d1 * d2,
         )
 
     def __rmul__(self, other):
@@ -168,51 +153,44 @@ class Quaternion(SkewFieldElement):
     # -- division-ring structure -----------------------------------------------
 
     def conjugate(self):
-        return Quaternion._build(self._nw, -self._nx, -self._ny, -self._nz, self._den)
+        nw, nx, ny, nz, den = self
+        return _new(Quaternion, (nw, -nx, -ny, -nz, den))
+
+    def _squares(self):
+        nw, nx, ny, nz, _ = self
+        return nw * nw + nx * nx + ny * ny + nz * nz
 
     def norm(self):
         """Squared Euclidean norm ``w**2 + x**2 + y**2 + z**2`` as a Fraction."""
-        squares = (
-            self._nw * self._nw
-            + self._nx * self._nx
-            + self._ny * self._ny
-            + self._nz * self._nz
-        )
-        return Fraction(squares, self._den * self._den)
+        return Fraction(self._squares(), self[4] * self[4])
 
     def inverse(self):
-        squares = (
-            self._nw * self._nw
-            + self._nx * self._nx
-            + self._ny * self._ny
-            + self._nz * self._nz
-        )
+        squares = self._squares()
         if squares == 0:
             raise ZeroDivisionError("zero quaternion has no inverse")
-        d = self._den
-        return Quaternion._build(
-            self._nw * d, -self._nx * d, -self._ny * d, -self._nz * d, squares
-        )
+        nw, nx, ny, nz, d = self
+        return _build(nw * d, -nx * d, -ny * d, -nz * d, squares)
 
     def is_zero(self):
-        return self._nw == 0 and self._nx == 0 and self._ny == 0 and self._nz == 0
+        return self[0] == 0 and self[1] == 0 and self[2] == 0 and self[3] == 0
 
     # -- comparison ----------------------------------------------------------------
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
-            return NotImplemented
-        return (
-            self._den == o._den
-            and self._nw == o._nw
-            and self._nx == o._nx
-            and self._ny == o._ny
-            and self._nz == o._nz
-        )
+            # a plain tuple would otherwise answer by comparing components
+            return False if isinstance(other, tuple) else NotImplemented
+        return tuple.__eq__(self, o)
 
-    def __hash__(self):
-        return hash((self._nw, self._nx, self._ny, self._nz, self._den))
+    # object's __ne__ negates __eq__; tuple's would compare components
+    __ne__ = object.__ne__
+    __hash__ = tuple.__hash__
+
+    def _unordered(self, other):
+        raise TypeError("quaternions are not ordered")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     # -- text form --------------------------------------------------------------------
 
@@ -221,6 +199,14 @@ class Quaternion(SkewFieldElement):
 
     def __repr__(self):
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
+
+
+def _build(nw, nx, ny, nz, den):
+    """A quaternion from raw integer numerators over ``den``, normalized."""
+    g = gcd(nw, nx, ny, nz, den)
+    if g > 1:
+        return _new(Quaternion, (nw // g, nx // g, ny // g, nz // g, den // g))
+    return _new(Quaternion, (nw, nx, ny, nz, den))
 
 
 _ZERO = Quaternion(0, 0, 0, 0)
@@ -281,7 +267,7 @@ class _Scanner:
 
     def take_integer(self):
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected digits", start)
@@ -323,7 +309,7 @@ def _parse_term(s, negative):
         s.take()
         coeff = Fraction(1)
         unit = ch
-    elif ch.isdigit():
+    elif "0" <= ch <= "9":
         numerator = s.take_integer()
         denominator = 1
         if s.peek() == "/":

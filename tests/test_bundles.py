@@ -1,3 +1,7 @@
+import copy
+import pickle
+from fractions import Fraction
+
 import pytest
 
 from skewlin import (
@@ -208,6 +212,31 @@ def test_section_json_roundtrip(rng):
     data = section_to_json(rows)
     assert set(data) == {"base", "values"}
     assert all(text.startswith("[") for text in data["values"].values())
+
+
+FIBERS = [Matrix([[K, I], [J, 1 + K]]), Matrix.zeros(2, 2)]
+
+
+@pytest.mark.parametrize(
+    "value,state",
+    [
+        (Quaternion(1, -2, 0, Fraction(3, 4)), lambda q: q),
+        (Matrix.zeros(0, 3), lambda m: m),
+        (FIBERS[0], lambda m: m),
+        (Section(Base(("p", "q")), [K, FIBERS[1]]), lambda s: s),
+        (FiberedLinearMap(Base(("p", "q")), FIBERS), lambda f: (f.base, f.matrices())),
+    ],
+    ids=["quaternion", "empty-matrix", "matrix", "section", "fibered-map"],
+)
+@pytest.mark.parametrize(
+    "roundtrip",
+    [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_value_types_copy_and_pickle(value, state, roundtrip):
+    result = roundtrip(value)
+    assert type(result) is type(value)
+    assert state(result) == state(value)
 
 
 def test_fibered_coordinate_isomorphism(rng):

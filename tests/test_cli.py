@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import random
@@ -6,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from skewlin import (
     check_morphism,
@@ -224,6 +226,7 @@ def test_repr_decompose_rejects_invalid(monkeypatch):
         '"action":[[0]]},"g":{},"morphism":{}}',
         '{"f":{"algebra":{"table":[[0]],"unit":0,"size":1},"carrier":null,'
         '"action":[[0]]},"g":{},"morphism":{}}',
+        pytest.param("[" * 100000 + "]" * 100000, id="nested-too-deeply"),
     ],
 )
 def test_repr_decompose_mistyped_json_is_input_error(monkeypatch, text):
@@ -243,6 +246,50 @@ def test_repr_decompose_mistyped_morphism_is_input_error(monkeypatch):
         assert status == 2
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: input: ")
+
+
+@pytest.mark.parametrize("argv", [[], ["qdet"], ["nonsense"], ["rank", "--kind", "x"],
+                                  ["demo", "paper-example", "extra\nline"]])
+def test_usage_error_is_one_line_on_err(capsys, argv):
+    status, out, err = invoke(argv)
+    assert status == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: usage: ")
+    assert capsys.readouterr().err == ""
+
+
+def test_help_exits_zero(capsys):
+    assert invoke(["--help"]) == (0, "", "")
+    assert "usage: skewlin" in capsys.readouterr().out
+
+
+VOCABULARY = [
+    "qdet", "inv", "rank", "mul", "solve", "repr-decompose", "demo", "paper-example",
+    "--kind", "rc", "cr", "--format", "text", "json", "--pos", "1,1", "2,1", "--rhs",
+    "--file", "--help", EXAMPLE_TEXT, "[k]", "[1, 0]", "[]", "-",
+]
+
+
+@given(
+    argv=st.lists(st.one_of(st.sampled_from(VOCABULARY), st.text(max_size=12)), max_size=8),
+    stdin=st.one_of(st.sampled_from([EXAMPLE_TEXT, json.dumps(_decompose_instance())]),
+                    st.text(max_size=40)),
+)
+def test_cli_contract_holds_for_any_input(argv, stdin):
+    out, err, real_out, real_err = (io.StringIO() for _ in range(4))
+    saved_stdin, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(real_out), contextlib.redirect_stderr(real_err):
+            status = run(argv, out=out, err=err)
+    finally:
+        sys.stdin = saved_stdin
+    assert status in (0, 1, 2)
+    if status == 0:
+        assert err.getvalue() == ""
+    else:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert real_err.getvalue() == ""
 
 
 def test_console_script_entry_point():

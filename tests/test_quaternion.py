@@ -113,7 +113,9 @@ def test_canonical_printing(value, expected):
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "  ", "-", "1+", "1//2", "q", "1/0", "3k/2", "1 2", "i+", "[k]"]
+    "bad",
+    ["", "  ", "-", "1+", "1//2", "q", "1/0", "3k/2", "1 2", "i+", "[k]", "\u0661\u0662", "\u00b2",
+     "1/\u00b2"],
 )
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ParseError):
@@ -124,6 +126,27 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as exc_info:
         parse_quaternion("1+q")
     assert exc_info.value.position == 2
+
+
+def test_value_is_the_normalized_tuple():
+    q = Quaternion(Fraction(1, 2), -1, 0, Fraction(3, 4))
+    assert hash(q) == hash((2, -4, 0, 3, 4))
+    assert q != (2, -4, 0, 3, 4) and not q == (2, -4, 0, 3, 4)
+    assert (2, -4, 0, 3, 4) != q
+    for one, two in ((1, 2), (Fraction(1), Fraction(2))):
+        assert Quaternion(1) == one and one == Quaternion(1)
+        assert Quaternion(1) != two
+        assert not Quaternion(1) != one
+    with pytest.raises(TypeError):
+        q < K
+    with pytest.raises(TypeError):
+        q >= (0,)
+    with pytest.raises(AttributeError):
+        q.w = 1
+    with pytest.raises(AttributeError):
+        q.foo = 1
+    assert repr(q) == "Quaternion(Fraction(1, 2), Fraction(-1, 1), Fraction(0, 1), Fraction(3, 4))"
+    assert str(q) == "1/2-i+3/4k"
 
 
 def test_quaternion_satisfies_element_contract():
