@@ -1,10 +1,10 @@
-"""Exact linear algebra over noncommutative skew fields.
+"""Exact linear algebra over the rational quaternions, a noncommutative skew field.
 
-Rational quaternions are the reference skew field; matrices over them carry
-two contraction products exchanged by the transpose duality functor, with
-quasideterminants, minor-based rank, exact solvers for ``x * A = b``,
-coordinate vector-space models, finite representation morphisms and their
-factorization, and fiberwise algebra over finite bases.
+Matrices of quaternions carry two contraction products exchanged by the
+transpose duality functor, with quasideterminants, minor-based rank, exact
+solvers for ``x * A = b``, coordinate vector-space models, finite
+representation morphisms and their factorization, and fiberwise algebra over
+finite bases.
 """
 
 from .bundles import (
@@ -31,7 +31,6 @@ from .errors import (
     ParseError,
     SingularMatrixError,
 )
-from .field import SkewFieldElement
 from .matrix import (
     Matrix,
     cr_product,

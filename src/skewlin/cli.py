@@ -12,6 +12,7 @@ with a one-line ``error: <code>[: detail]`` diagnostic on stderr.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -121,7 +122,6 @@ def _build_parser():
                        help="factor a representation morphism (JSON in/out)")
     p.add_argument("--file", action="append", default=[],
                    help="read the JSON instance from a file")
-    p.add_argument("--format", choices=("text", "json"), default="json")
 
     p = sub.add_parser("demo", help="built-in demonstrations")
     p.add_argument("topic", choices=("paper-example",))
@@ -142,8 +142,10 @@ def _gather_matrices(args):
 
 
 def _parse_position(text):
-    parts = text.split(",")
-    if len(parts) != 2:
+    parts = [part.strip() for part in text.split(",")]
+    # ASCII digits only, as in the matrix grammar; int() alone would also take
+    # other scripts' digits, underscores and a sign
+    if len(parts) != 2 or not all(part.isascii() and part.isdigit() for part in parts):
         raise ValueError(f"--pos wants P,R with 1-based indices, got {text!r}")
     return int(parts[0]), int(parts[1])
 
@@ -227,6 +229,8 @@ def _run_solve(args, out):
 
 
 def _run_repr_decompose(args, out):
+    if len(args.file) > 1:
+        raise ValueError(f"expected 1 JSON input, got {len(args.file)}")
     try:
         if args.file:
             with open(args.file[0], encoding="utf-8") as handle:
@@ -281,7 +285,9 @@ def run(argv, out=None, err=None):
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        args = _build_parser().parse_args(argv)
+        # --help prints through sys.stdout; keep it on ``out``
+        with contextlib.redirect_stdout(out):
+            args = _build_parser().parse_args(argv)
     except _UsageError as exc:
         return _fail(err, 2, f"usage: {exc}")
     except SystemExit as exc:

@@ -1,4 +1,4 @@
-"""Rectangular matrices over a skew field and the two contraction products.
+"""Rectangular matrices of quaternions and the two contraction products.
 
 One storage grid serves both index conventions of the calculus: cell
 ``(i, j)`` of the display grid is the row-indexed entry of the row-times-
@@ -17,25 +17,28 @@ rank index sets) are 1-based, matching the index conventions of the
 underlying calculus; raw ``matrix[i, j]`` access is plain 0-based Python.
 """
 
+from itertools import chain, repeat
+
 from .errors import DimensionMismatch
 from .quaternion import Quaternion, format_quaternion, parse_quaternion
 
 
 class Matrix:
-    """Immutable rectangular matrix over a skew field.
+    """Immutable rectangular matrix of :class:`Quaternion` entries.
 
-    ``field`` is the element class (default :class:`Quaternion`); it supplies
-    ``zero()``/``one()`` and is inferred from the entries when any exist.
-    Empty matrices (0 rows and/or 0 columns) are permitted; they carry the
-    recursion base cases.
+    Any other entry type raises ``TypeError``.  Empty matrices (0 rows and/or
+    0 columns) are permitted; they carry the recursion base cases.
     """
 
-    __slots__ = ("cells", "rows", "cols", "field")
+    __slots__ = ("cells", "rows", "cols")
 
-    def __init__(self, cells, field=None, cols=None):
-        """``cols`` pins the column count of a zero-row matrix, which the cell
+    def __init__(self, cells, cols=None):
+        """``cells`` is a sequence of rows, each a sequence of quaternions.
+        ``cols`` pins the column count of a zero-row matrix, which the cell
         grid alone cannot express; with any rows present it must agree."""
         grid = tuple(tuple(row) for row in cells)
+        if not all(map(isinstance, chain.from_iterable(grid), repeat(Quaternion))):
+            raise TypeError("matrix entries must be quaternions")
         widths = {len(row) for row in grid}
         if len(widths) > 1:
             raise DimensionMismatch("ragged rows in matrix literal")
@@ -47,43 +50,36 @@ class Matrix:
             raise DimensionMismatch(f"declared {cols} columns, rows have {grid_cols}")
         if cols == 0:
             grid = tuple(() for _ in range(rows))
-        if field is None:
-            field = type(grid[0][0]) if rows and cols else Quaternion
         object.__setattr__(self, "cells", grid)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "field", field)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     def __reduce__(self):
-        return (type(self), (self.cells, self.field, self.cols))
+        return (type(self), (self.cells, self.cols))
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def identity(cls, n, field=Quaternion):
-        one, zero = field.one(), field.zero()
-        return cls(
-            [[one if i == j else zero for j in range(n)] for i in range(n)],
-            field=field,
-        )
+    def identity(cls, n):
+        one, zero = Quaternion.one(), Quaternion.zero()
+        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, rows, cols, field=Quaternion):
-        zero = field.zero()
-        return cls([[zero] * cols for _ in range(rows)], field=field, cols=cols)
+    def zeros(cls, rows, cols):
+        return cls([[Quaternion.zero()] * cols for _ in range(rows)], cols=cols)
 
     @classmethod
-    def row(cls, entries, field=None):
+    def row(cls, entries):
         """1 x n matrix from a flat sequence."""
-        return cls([list(entries)], field=field)
+        return cls([list(entries)])
 
     @classmethod
-    def column(cls, entries, field=None):
+    def column(cls, entries):
         """n x 1 matrix from a flat sequence."""
-        return cls([[e] for e in entries], field=field)
+        return cls([[e] for e in entries])
 
     # -- access ----------------------------------------------------------------
 
@@ -127,15 +123,11 @@ class Matrix:
         if self.shape != other.shape:
             raise DimensionMismatch(f"cannot add {self.shape} and {other.shape}")
         return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.cells, other.cells)
-            ],
-            field=self.field,
+            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.cells, other.cells)]
         )
 
     def __neg__(self):
-        return Matrix([[-a for a in row] for row in self.cells], field=self.field)
+        return Matrix([[-a for a in row] for row in self.cells])
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
@@ -144,7 +136,7 @@ class Matrix:
 
     def scale_left(self, s):
         """Left scalar action ``s * M`` (scalars act from the left here)."""
-        return Matrix([[s * a for a in row] for row in self.cells], field=self.field)
+        return Matrix([[s * a for a in row] for row in self.cells])
 
     def __rmul__(self, s):
         if isinstance(s, Matrix):
@@ -162,7 +154,6 @@ class Matrix:
     def transpose(self):
         return Matrix(
             [[self.cells[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            field=self.field,
             cols=self.rows,
         )
 
@@ -174,11 +165,7 @@ class Matrix:
         """Submatrix picked by 1-based row and column index sequences."""
         ri = [_check_index(i, self.rows, "row") for i in row_set]
         cj = [_check_index(j, self.cols, "column") for j in col_set]
-        return Matrix(
-            [[self.cells[i][j] for j in cj] for i in ri],
-            field=self.field,
-            cols=len(cj),
-        )
+        return Matrix([[self.cells[i][j] for j in cj] for i in ri], cols=len(cj))
 
     def without(self, p, r):
         """Complementary submatrix: delete 1-based row ``p`` and column ``r``."""
@@ -189,8 +176,7 @@ class Matrix:
                 [a for j, a in enumerate(row) if j != r]
                 for i, row in enumerate(self.cells)
                 if i != p
-            ],
-            field=self.field,
+            ]
         )
 
     def __str__(self):
@@ -212,9 +198,9 @@ def rc_product(a, b):
     if a.cols != b.rows:
         raise DimensionMismatch(f"rc product needs {a.shape} x {b.shape} inner match")
     if a.cols == 0 or a.rows == 0 or b.cols == 0:
-        return Matrix.zeros(a.rows, b.cols, field=a.field)
+        return Matrix.zeros(a.rows, b.cols)
     columns = list(zip(*b.cells))
-    return Matrix([[_dot(row, col) for col in columns] for row in a.cells], field=a.field)
+    return Matrix([[_dot(row, col) for col in columns] for row in a.cells])
 
 
 def cr_product(a, b):
@@ -224,9 +210,9 @@ def cr_product(a, b):
     if a.rows != b.cols:
         raise DimensionMismatch(f"cr product needs {b.shape} x {a.shape} outer match")
     if a.rows == 0 or b.rows == 0 or a.cols == 0:
-        return Matrix.zeros(b.rows, a.cols, field=a.field)
+        return Matrix.zeros(b.rows, a.cols)
     columns = list(zip(*a.cells))
-    return Matrix([[_dot(col, row) for col in columns] for row in b.cells], field=a.field)
+    return Matrix([[_dot(col, row) for col in columns] for row in b.cells])
 
 
 def _dot(left, right):
@@ -242,8 +228,8 @@ def transpose(a):
     return a.transpose()
 
 
-def identity(n, field=Quaternion):
-    return Matrix.identity(n, field=field)
+def identity(n):
+    return Matrix.identity(n)
 
 
 def extended_matrix(a, b):
@@ -253,7 +239,7 @@ def extended_matrix(a, b):
         raise DimensionMismatch(
             f"right-hand side must be 1 x {a.cols}, got {b.shape}"
         )
-    return Matrix(list(a.cells) + [b.cells[0]], field=a.field)
+    return Matrix(list(a.cells) + [b.cells[0]])
 
 
 def format_matrix(a):

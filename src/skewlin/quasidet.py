@@ -1,4 +1,4 @@
-"""Quasideterminants, inversion and the elimination kernel over a skew field.
+"""Quasideterminants, inversion and the elimination kernel.
 
 One forward elimination pass with left row operations decides every
 singular/nonsingular question in the library.  :func:`_eliminate_rows` reduces
@@ -28,6 +28,7 @@ the two states are never conflated.
 
 from .errors import DimensionMismatch, SingularMatrixError
 from .matrix import Matrix, rc_product
+from .quaternion import Quaternion
 
 
 def _eliminate_rows(a, track):
@@ -46,13 +47,13 @@ def _eliminate_rows(a, track):
     Without ``track`` both are left empty and the pass stops once every
     column holds a pivot.
     """
-    zero = a.field.zero()
+    zero = Quaternion.zero()
     kept, echelon, dependences = [], [], {}
     for p, cells in enumerate(a.cells):
         if not track and len(echelon) == a.cols:
             break
         entries = list(cells)
-        combination = {p: a.field.one()} if track else None
+        combination = {p: Quaternion.one()} if track else None
         _reduce(entries, combination, echelon, zero)
         pivot = next((j for j, e in enumerate(entries) if not e.is_zero()), None)
         if pivot is None:
@@ -96,7 +97,7 @@ def _solve_row(entries, echelon, a):
     ``x * a == entries``, from the echelon rows of a tracked pass over ``a``;
     None when ``entries`` is outside the left row span of ``a``.  Rows that
     the pass did not keep get a zero coefficient."""
-    zero = a.field.zero()
+    zero = Quaternion.zero()
     entries = list(entries)
     combination = {}
     _reduce(entries, combination, echelon, zero)
@@ -128,8 +129,8 @@ def rc_inverse(a):
     :class:`DimensionMismatch` for non-square input.
     """
     echelon = _nonsingular_echelon(a)
-    unit_rows = Matrix.identity(a.rows, field=a.field).cells
-    return Matrix([_solve_row(e, echelon, a) for e in unit_rows], field=a.field)
+    unit_rows = Matrix.identity(a.rows).cells
+    return Matrix([_solve_row(e, echelon, a) for e in unit_rows])
 
 
 def is_rc_nonsingular(a):
@@ -143,7 +144,7 @@ def is_rc_nonsingular(a):
 def rc_quasideterminant(a, p, r):
     """Quasideterminant of square ``a`` at 1-based position ``(p, r)``.
 
-    Returns the skew-field value, or ``None`` when it is undefined because
+    Returns the quaternion value, or ``None`` when it is undefined because
     the complementary submatrix has no inverse.  For a 1x1 matrix the value
     is the entry itself (the correction term vanishes with the empty
     complementary minor).
@@ -156,10 +157,10 @@ def rc_quasideterminant(a, p, r):
     # column r moved last: the complement fills the first n - 1 columns
     cells = [row[:r - 1] + row[r:] + (row[r - 1],) for row in a.cells]
     target = list(cells.pop(p - 1))
-    _, echelon, _ = _eliminate_rows(Matrix(cells, field=a.field, cols=n), track=False)
+    _, echelon, _ = _eliminate_rows(Matrix(cells, cols=n), track=False)
     if [pivot for pivot, _, _ in echelon] != list(range(n - 1)):
         return None
-    _reduce(target, None, echelon, a.field.zero())
+    _reduce(target, None, echelon, Quaternion.zero())
     return target[-1]
 
 
@@ -184,7 +185,7 @@ def rc_inverse_via_quasidet(a):
     n = a.rows
     if n == 0:
         return a
-    zero = a.field.zero()
+    zero = Quaternion.zero()
     cells = [[zero] * n for _ in range(n)]
     for p in range(1, n + 1):
         for r in range(1, n + 1):
@@ -196,8 +197,8 @@ def rc_inverse_via_quasidet(a):
                     f"quasideterminant at ({p}, {r}) is zero, matrix is singular"
                 )
             cells[r - 1][p - 1] = q.inverse()
-    candidate = Matrix(cells, field=a.field)
-    if rc_product(a, candidate) != Matrix.identity(n, field=a.field):
+    candidate = Matrix(cells)
+    if rc_product(a, candidate) != Matrix.identity(n):
         raise SingularMatrixError("no inverse: quasideterminant candidate fails round-trip")
     return candidate
 

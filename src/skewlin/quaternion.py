@@ -1,4 +1,4 @@
-"""Exact rational quaternions, the reference skew field.
+"""Exact rational quaternions, the skew field every matrix here is over.
 
 Every operation is exact: identities such as ``a * a.inverse() == one`` hold
 bit for bit, never up to a tolerance.  Multiplication follows the Hamilton
@@ -10,6 +10,12 @@ which makes the two reference quasideterminant values of this library
 (``0`` and ``1+k`` on the built-in 2x2 example) come out right; the mirror
 convention does not.
 
+The matrices and the elimination kernel rely on exactly this much: ``+``,
+``-`` and ``*`` are exact, ``*`` is associative but not commutative, every
+nonzero value has a two-sided ``inverse()`` (zero raises
+``ZeroDivisionError``), ``zero()`` and ``one()`` build the identities, and
+``is_zero()`` tests equality with ``zero()``.
+
 A value is the tuple of its four integer numerators over one shared positive
 denominator, kept coprime; products and sums then cost integer work plus a
 single gcd, which keeps exact elimination on matrices fast.  The tuple layout
@@ -20,7 +26,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ParseError
-from .field import SkewFieldElement
 
 _UNITS = ("i", "j", "k")
 
@@ -36,7 +41,7 @@ def _as_fraction(value):
 _new = tuple.__new__
 
 
-class Quaternion(tuple, SkewFieldElement):
+class Quaternion(tuple):
     """A quaternion ``w + x*i + y*j + z*k`` with exact rational components.
 
     The value is the tuple ``(nw, nx, ny, nz, den)`` itself: four integer

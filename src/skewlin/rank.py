@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from .errors import DimensionMismatch, InvalidRowError, SingularMatrixError
 from .matrix import Matrix, rc_product
 from .quasidet import _eliminate_rows, _nonsingular_echelon, _solve_row
+from .quaternion import Quaternion
 
 
 @dataclass(frozen=True)
@@ -90,13 +91,13 @@ def row_dependence(a, report, p):
     """
     entries = a.row_entries(p)  # range check
     if report.rank == 0:
-        return Matrix.zeros(1, 0, field=a.field)
+        return Matrix.zeros(1, 0)
     sel = report.minor
     if p in sel.rows:
         raise InvalidRowError(f"row {p} belongs to the major minor {sel.rows}")
     core = a.minor(sel.rows, sel.cols)
     outside = [entries[t - 1] for t in sel.cols]
-    return Matrix.row(_solve_row(outside, _nonsingular_echelon(core), core), field=a.field)
+    return Matrix.row(_solve_row(outside, _nonsingular_echelon(core), core))
 
 
 def solve_nonsingular(a, b):
@@ -105,7 +106,7 @@ def solve_nonsingular(a, b):
     echelon = _nonsingular_echelon(a)
     if b.cols != a.rows:
         raise DimensionMismatch(f"rc product needs {b.shape} x {a.shape} inner match")
-    return Matrix([_solve_row(row, echelon, a) for row in b.cells], field=b.field, cols=a.rows)
+    return Matrix([_solve_row(row, echelon, a) for row in b.cells], cols=a.rows)
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,7 @@ def solve_general(a, b):
         return SolutionSet(False, None, basis, free)
     # rows outside the major minor never enter the echelon rows'
     # combinations, so the free variables are zero.
-    particular = Matrix.row(x, field=a.field)
+    particular = Matrix.row(x)
     if rc_product(particular, a) != b:
         raise SingularMatrixError("internal: particular solution fails x * a == b")
     return SolutionSet(True, particular, basis, free)
@@ -153,10 +154,10 @@ def solve_general(a, b):
 
 def _combination_row(combination, a):
     """The 1 x m row of left coefficients on the rows of ``a``."""
-    entries = [a.field.zero()] * a.rows
+    entries = [Quaternion.zero()] * a.rows
     for i, c in combination.items():
         entries[i] = c
-    return Matrix.row(entries, field=a.field)
+    return Matrix.row(entries)
 
 
 def rc_singular_family(b, c, d):

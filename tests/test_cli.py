@@ -72,6 +72,20 @@ def test_qdet_bad_position_is_input_error():
     assert err.startswith("error: input")
 
 
+@pytest.mark.parametrize("pos", ["\u0662,1", "1,\u0661", "1_0,1", "+1,1", ",1", "1,", " , ",
+                                 "1,2,3", "1;2", ""])
+def test_qdet_position_takes_ascii_digits_only(pos):
+    status, out, err = invoke(["qdet", "--pos", pos, "[1, 2; 3, 4]"])
+    assert (status, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: input: --pos wants P,R")
+
+
+@pytest.mark.parametrize("pos", ["2,1", " 2 , 1 ", "02,01"])
+def test_qdet_position_allows_surrounding_whitespace(pos):
+    assert invoke(["qdet", "--pos", pos, "[1, 2; 3, 4]"]) == (0, "1\n", "")
+
+
 def test_inv_singular_diagnostic():
     status, out, err = invoke(["inv", "--kind", "rc", EXAMPLE_TEXT])
     assert status == 1
@@ -202,6 +216,21 @@ def test_repr_decompose_stdin(monkeypatch):
     assert big_r == instance["morphism"]["R"]
 
 
+def test_repr_decompose_reads_one_file(tmp_path):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(_decompose_instance()), encoding="utf-8")
+    status, out, err = invoke(["repr-decompose", "--file", str(path)])
+    assert status == 0 and err == "" and set(json.loads(out)) >= {"quotient", "image"}
+    status, out, err = invoke(["repr-decompose", "--file", str(path), "--file", str(path)])
+    assert (status, out, err) == (2, "", "error: input: expected 1 JSON input, got 2\n")
+
+
+def test_repr_decompose_has_no_format_option():
+    status, out, err = invoke(["repr-decompose", "--format", "json"])
+    assert (status, out) == (2, "")
+    assert err.startswith("error: usage: unrecognized arguments: --format")
+
+
 def test_repr_decompose_rejects_invalid(monkeypatch):
     instance = _decompose_instance()
     instance["morphism"]["R"] = [0, 0, 0, 0]
@@ -259,8 +288,10 @@ def test_usage_error_is_one_line_on_err(capsys, argv):
 
 
 def test_help_exits_zero(capsys):
-    assert invoke(["--help"]) == (0, "", "")
-    assert "usage: skewlin" in capsys.readouterr().out
+    status, out, err = invoke(["--help"])
+    assert (status, err) == (0, "")
+    assert out.startswith("usage: skewlin")
+    assert capsys.readouterr() == ("", "")
 
 
 VOCABULARY = [
@@ -289,6 +320,7 @@ def test_cli_contract_holds_for_any_input(argv, stdin):
     else:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert real_out.getvalue() == ""
     assert real_err.getvalue() == ""
 
 

@@ -83,11 +83,11 @@ def oracle_rc_inverse(a):
     if n == 0:
         return a
     grid = [list(row) for row in a.cells]
-    one, zero = a.field.one(), a.field.zero()
+    one, zero = Quaternion.one(), Quaternion.zero()
     augmented = [[one if i == j else zero for j in range(n)] for i in range(n)]
     if not oracle_eliminate(grid, augmented):
         raise SingularMatrixError(f"matrix {a} is singular")
-    return Matrix(augmented, field=a.field)
+    return Matrix(augmented)
 
 
 def oracle_is_rc_nonsingular(a):
@@ -117,8 +117,8 @@ def oracle_rc_quasideterminant(a, p, r):
         inv = oracle_rc_inverse(complement)
     except SingularMatrixError:
         return None
-    row = Matrix.row([a[p - 1, t] for t in range(n) if t != r - 1], field=a.field)
-    col = Matrix.column([a[s, r - 1] for s in range(n) if s != p - 1], field=a.field)
+    row = Matrix.row([a[p - 1, t] for t in range(n) if t != r - 1])
+    col = Matrix.column([a[s, r - 1] for s in range(n) if s != p - 1])
     correction = rc_product(rc_product(row, inv), col)
     return a[p - 1, r - 1] - correction[0, 0]
 
@@ -132,12 +132,12 @@ def oracle_row_dependence(a, report, p):
     """
     if report.rank == 0:
         a.row_entries(p)  # range check
-        return Matrix.zeros(1, 0, field=a.field)
+        return Matrix.zeros(1, 0)
     sel = report.minor
     if p in sel.rows:
         raise InvalidRowError(f"row {p} belongs to the major minor {sel.rows}")
     outside_row = Matrix.row(
-        [a[p - 1, t - 1] for t in sel.cols], field=a.field
+        [a[p - 1, t - 1] for t in sel.cols]
     )
     core_inverse = oracle_rc_inverse(a.minor(sel.rows, sel.cols))
     return rc_product(outside_row, core_inverse)

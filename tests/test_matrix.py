@@ -91,6 +91,23 @@ def test_shape_mismatch_raises():
         Matrix([[I], [J, K]])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Matrix([I, J]),
+        lambda: Matrix.row(I),
+        lambda: Matrix.column(I),
+        lambda: Matrix([[1, 2]]),
+        lambda: Matrix([[Fraction(1, 2)]]),
+    ],
+    ids=["flat-entries", "row-of-a-quaternion", "column-of-a-quaternion", "ints", "fraction"],
+)
+def test_entries_must_be_quaternions(build):
+    # a quaternion is a tuple, so a flat list of them must not pass for rows
+    with pytest.raises(TypeError, match="matrix entries must be quaternions"):
+        build()
+
+
 def test_empty_matrix_products():
     empty = Matrix([])
     assert rc_product(empty, empty) == empty

@@ -31,7 +31,7 @@ def right_inverse_by_column_elimination(a):
     matrices multiplying from the right, producing Y with A*Y = identity."""
     n = a.rows
     work = [list(row) for row in a.cells]
-    one, zero = a.field.one(), a.field.zero()
+    one, zero = Quaternion.one(), Quaternion.zero()
     aug = [[one if r == c else zero for c in range(n)] for r in range(n)]
     for step in range(n):
         pivot = next((c for c in range(step, n) if not work[step][c].is_zero()), None)

@@ -69,26 +69,26 @@ def oracle_solve_general(a, b):
     basis = []
     for p in free:
         coeffs = row_dependence(a, report, p)
-        entries = [a.field.zero()] * a.rows
-        entries[p - 1] = a.field.one()
+        entries = [Quaternion.zero()] * a.rows
+        entries[p - 1] = Quaternion.one()
         for idx, s in enumerate(row_set):
             entries[s - 1] = -coeffs[0, idx]
-        basis.append(Matrix.row(entries, field=a.field))
+        basis.append(Matrix.row(entries))
 
     consistent = oracle_rc_rank(extended_matrix(a, b)).rank == k
     if not consistent:
         return SolutionSet(False, None, tuple(basis), free)
 
     if k == 0:
-        particular = Matrix.zeros(1, a.rows, field=a.field)
+        particular = Matrix.zeros(1, a.rows)
     else:
         core = a.minor(row_set, col_set)
-        rhs = Matrix.row([b[0, t - 1] for t in col_set], field=a.field)
+        rhs = Matrix.row([b[0, t - 1] for t in col_set])
         core_solution = solve_nonsingular(core, rhs)
-        entries = [a.field.zero()] * a.rows
+        entries = [Quaternion.zero()] * a.rows
         for idx, s in enumerate(row_set):
             entries[s - 1] = core_solution[0, idx]
-        particular = Matrix.row(entries, field=a.field)
+        particular = Matrix.row(entries)
     # Columns outside the core are satisfied automatically (they are right
     # combinations of the core columns of the extended matrix); guard anyway.
     if rc_product(particular, a) != b:
