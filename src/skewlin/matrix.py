@@ -10,7 +10,9 @@ contracts:
 * ``cr_product(A, B)[i][j] = sum_k A[k][j] * B[i][k]`` (A-factor on the left),
 
 and they are exchanged by the transpose duality functor:
-``cr_product(A, B) == rc_product(A.T, B.T).T``.
+``cr_product(A, B) == rc_product(A.T, B.T).T``.  Each entry of either
+product is one :func:`skewlin.quaternion._dot`, normalized once rather than
+once per term.
 
 Grid positions in named operations (``minor``, quasideterminant positions,
 rank index sets) are 1-based, matching the index conventions of the
@@ -20,7 +22,7 @@ underlying calculus; raw ``matrix[i, j]`` access is plain 0-based Python.
 from itertools import chain, repeat
 
 from .errors import DimensionMismatch
-from .quaternion import Quaternion, format_quaternion, parse_quaternion
+from .quaternion import Quaternion, _dot, format_quaternion, parse_quaternion
 
 
 class Matrix:
@@ -36,6 +38,8 @@ class Matrix:
         """``cells`` is a sequence of rows, each a sequence of quaternions.
         ``cols`` pins the column count of a zero-row matrix, which the cell
         grid alone cannot express; with any rows present it must agree."""
+        if cols is not None:
+            _check_size(cols, "column")
         grid = tuple(tuple(row) for row in cells)
         if not all(map(isinstance, chain.from_iterable(grid), repeat(Quaternion))):
             raise TypeError("matrix entries must be quaternions")
@@ -64,11 +68,14 @@ class Matrix:
 
     @classmethod
     def identity(cls, n):
+        _check_size(n, "row")
         one, zero = Quaternion.one(), Quaternion.zero()
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, rows, cols):
+        _check_size(rows, "row")
+        _check_size(cols, "column")
         return cls([[Quaternion.zero()] * cols for _ in range(rows)], cols=cols)
 
     @classmethod
@@ -186,6 +193,11 @@ class Matrix:
         return f"Matrix({format_matrix(self)!r})"
 
 
+def _check_size(n, what):
+    if n < 0:
+        raise ValueError(f"{what} count must be nonnegative, got {n}")
+
+
 def _check_index(i, bound, what):
     if not isinstance(i, int) or not 1 <= i <= bound:
         raise IndexError(f"{what} index {i} out of range 1..{bound}")
@@ -213,15 +225,6 @@ def cr_product(a, b):
         return Matrix.zeros(b.rows, a.cols)
     columns = list(zip(*a.cells))
     return Matrix([[_dot(col, row) for col in columns] for row in b.cells])
-
-
-def _dot(left, right):
-    it = zip(left, right)
-    x, y = next(it)
-    total = x * y
-    for x, y in it:
-        total = total + x * y
-    return total
 
 
 def transpose(a):

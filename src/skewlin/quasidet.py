@@ -28,7 +28,7 @@ the two states are never conflated.
 
 from .errors import DimensionMismatch, SingularMatrixError
 from .matrix import Matrix, rc_product
-from .quaternion import Quaternion
+from .quaternion import Quaternion, _sub_mul
 
 
 def _eliminate_rows(a, track):
@@ -86,10 +86,10 @@ def _reduce(entries, combination, echelon, zero):
             continue
         entries[pivot] = zero
         for j, e in tail:
-            entries[j] = entries[j] - lead * e
+            entries[j] = _sub_mul(entries[j], lead, e)
         if combination is not None:
             for i, c in row_combination.items():
-                combination[i] = combination.get(i, zero) - lead * c
+                combination[i] = _sub_mul(combination.get(i, zero), lead, c)
 
 
 def _solve_row(entries, echelon, a):

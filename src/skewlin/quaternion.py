@@ -17,9 +17,12 @@ nonzero value has a two-sided ``inverse()`` (zero raises
 ``is_zero()`` tests equality with ``zero()``.
 
 A value is the tuple of its four integer numerators over one shared positive
-denominator, kept coprime; products and sums then cost integer work plus a
-single gcd, which keeps exact elimination on matrices fast.  The tuple layout
-is private: the components are exposed as :class:`fractions.Fraction` values.
+denominator, kept coprime, so every result is normalized by a 5-way gcd.  The
+elimination kernel and the matrix products normalize once per result, not
+once per operation: :func:`_sub_mul` forms the update ``x - l*y`` and
+:func:`_dot` a sum of products on raw integer numerators before a single
+gcd.  The tuple layout is private: the components are exposed as
+:class:`fractions.Fraction` values.
 """
 
 from fractions import Fraction
@@ -212,6 +215,49 @@ def _build(nw, nx, ny, nz, den):
     if g > 1:
         return _new(Quaternion, (nw // g, nx // g, ny // g, nz // g, den // g))
     return _new(Quaternion, (nw, nx, ny, nz, den))
+
+
+def _sub_mul(x, l, y):
+    """``x - l * y``, normalized once instead of once for the product and
+    once for the difference."""
+    a, b, c, d, dl = l
+    e, f, g, h, dy = y
+    pw = a * e - b * f - c * g - d * h
+    px = a * f + b * e + c * h - d * g
+    py = a * g - b * h + c * e + d * f
+    pz = a * h + b * g - c * f + d * e
+    den = dl * dy
+    xw, xx, xy, xz, dx = x
+    if dx == 1:
+        return _build(xw * den - pw, xx * den - px, xy * den - py, xz * den - pz, den)
+    return _build(xw * den - pw * dx, xx * den - px * dx, xy * den - py * dx,
+                  xz * den - pz * dx, den * dx)
+
+
+def _dot(left, right):
+    """``sum(l * r for l, r in zip(left, right))``, each left factor on the
+    left, normalized once: the numerators accumulate over a running
+    denominator that grows only when a term's denominator differs from it."""
+    sw = sx = sy = sz = 0
+    den = 1
+    for (a, b, c, d, d1), (e, f, g, h, d2) in zip(left, right):
+        pw = a * e - b * f - c * g - d * h
+        px = a * f + b * e + c * h - d * g
+        py = a * g - b * h + c * e + d * f
+        pz = a * h + b * g - c * f + d * e
+        term_den = d1 * d2
+        if term_den == den:
+            sw += pw
+            sx += px
+            sy += py
+            sz += pz
+        else:
+            sw = sw * term_den + pw * den
+            sx = sx * term_den + px * den
+            sy = sy * term_den + py * den
+            sz = sz * term_den + pz * den
+            den *= term_den
+    return _build(sw, sx, sy, sz, den)
 
 
 _ZERO = Quaternion(0, 0, 0, 0)

@@ -3,18 +3,23 @@
 ``oracle_eliminate``, ``oracle_rc_inverse``, ``oracle_is_rc_nonsingular``,
 ``oracle_rc_quasideterminant``, ``oracle_row_dependence`` and
 ``oracle_solve_nonsingular`` are the original implementations, kept verbatim
-(apart from their names) as the definition: Gauss-Jordan elimination with an
-augmented identity decides invertibility and gives the inverse, and the
+(apart from their names, and ``schoolbook_product`` in place of the library's
+``rc_product``) as the definition: Gauss-Jordan elimination with an augmented
+identity decides invertibility and gives the inverse, and the
 quasideterminant, the row dependence and the unique solution are read off that
-inverse by products.  The library must return the same values, the same
-``None`` for an undefined quasideterminant and the same exceptions on every
-square matrix of order at most 5, under both products.
+inverse by products.  ``schoolbook_product`` sums scalar products one at a
+time, so the oracles share no arithmetic with the library's fused products,
+which a property below checks against it.  The library must return the same
+values, the same ``None`` for an undefined quasideterminant and the same
+exceptions on every square matrix of order at most 5, under both products.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import skewlin as lib
 from skewlin import (
@@ -25,6 +30,7 @@ from skewlin import (
     Quaternion,
     RankReport,
     SingularMatrixError,
+    cr_product,
     rc_product,
 )
 from skewlin.sampling import (
@@ -34,6 +40,22 @@ from skewlin.sampling import (
 )
 
 # -- the oracle ----------------------------------------------------------------
+
+
+def schoolbook_product(a, b):
+    """Row-times-column product as a left fold of scalar ``*`` and ``+``."""
+    if a.cols != b.rows:
+        raise DimensionMismatch(f"rc product needs {a.shape} x {b.shape} inner match")
+    cells = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            total = Quaternion.zero()
+            for k in range(a.cols):
+                total = total + a[i, k] * b[k, j]
+            row.append(total)
+        cells.append(row)
+    return Matrix(cells, cols=b.cols)
 
 
 def oracle_eliminate(grid, augmented):
@@ -119,7 +141,7 @@ def oracle_rc_quasideterminant(a, p, r):
         return None
     row = Matrix.row([a[p - 1, t] for t in range(n) if t != r - 1])
     col = Matrix.column([a[s, r - 1] for s in range(n) if s != p - 1])
-    correction = rc_product(rc_product(row, inv), col)
+    correction = schoolbook_product(schoolbook_product(row, inv), col)
     return a[p - 1, r - 1] - correction[0, 0]
 
 
@@ -140,13 +162,13 @@ def oracle_row_dependence(a, report, p):
         [a[p - 1, t - 1] for t in sel.cols]
     )
     core_inverse = oracle_rc_inverse(a.minor(sel.rows, sel.cols))
-    return rc_product(outside_row, core_inverse)
+    return schoolbook_product(outside_row, core_inverse)
 
 
 def oracle_solve_nonsingular(a, b):
     """Unique solution of ``x * a = b`` for square nonsingular ``a``:
     ``x = b * inverse(a)``.  Raises :class:`SingularMatrixError` otherwise."""
-    return rc_product(b, oracle_rc_inverse(a))
+    return schoolbook_product(b, oracle_rc_inverse(a))
 
 
 # -- comparison ------------------------------------------------------------------
@@ -267,3 +289,32 @@ def test_non_square_input_matches_oracle(shape):
         expected = outcome(oracle, *args)
         assert expected[:2] == ("raised", DimensionMismatch)
         assert outcome(f, *args) == expected
+
+
+# entries over mixed denominators, zero among them
+_rationals = st.builds(
+    Fraction, st.integers(min_value=-9, max_value=9), st.sampled_from([1, 2, 3, 4, 7])
+)
+_quaternions = st.builds(Quaternion, _rationals, _rationals, _rationals, _rationals)
+
+
+@st.composite
+def _matrix_pairs(draw):
+    m, k, n = (draw(st.integers(min_value=0, max_value=4)) for _ in range(3))
+
+    def matrix(rows, cols):
+        cells = draw(st.lists(
+            st.lists(_quaternions, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+        ))
+        return Matrix(cells, cols=cols)
+
+    return matrix(m, k), matrix(k, n)
+
+
+@given(_matrix_pairs())
+@settings(max_examples=60)
+def test_products_match_schoolbook_product(pair):
+    a, b = pair
+    assert rc_product(a, b) == schoolbook_product(a, b)
+    # cr_product(a.T, b.T)[j][i] = sum_k a.T[k][i] * b.T[j][k] = sum_k a[i][k] * b[k][j]
+    assert cr_product(a.T, b.T).T == schoolbook_product(a, b)

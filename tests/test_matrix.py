@@ -182,3 +182,18 @@ def test_parse_format_roundtrip(rng):
 def test_matrix_parse_rejects_malformed(bad):
     with pytest.raises(ParseError):
         parse_matrix(bad)
+
+
+@pytest.mark.parametrize(
+    "build,size",
+    [
+        (lambda: Matrix([], cols=-1), "column count must be nonnegative, got -1"),
+        (lambda: Matrix.zeros(-2, 3), "row count must be nonnegative, got -2"),
+        (lambda: Matrix.zeros(2, -3), "column count must be nonnegative, got -3"),
+        (lambda: Matrix.identity(-1), "row count must be nonnegative, got -1"),
+    ],
+    ids=["cols", "zeros-rows", "zeros-cols", "identity"],
+)
+def test_negative_sizes_are_rejected(build, size):
+    with pytest.raises(ValueError, match=size):
+        build()

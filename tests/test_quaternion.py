@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from skewlin import I, J, K, ONE, ParseError, Quaternion, parse_quaternion
+from skewlin.quaternion import _dot, _sub_mul
 
 rationals = st.fractions(
     min_value=-9, max_value=9, max_denominator=9
@@ -152,3 +153,43 @@ def test_value_is_the_normalized_tuple():
 def test_quaternion_satisfies_element_contract():
     assert Quaternion.zero().is_zero()
     assert Quaternion.one() * K == K
+
+
+# Operands for the fused helpers: zero, small and 300-digit components of
+# either sign, over denominators drawn from a small set (so that equal
+# denominators are common) or of 300 digits (so that they almost never are).
+_big = st.integers(min_value=10**300, max_value=10**320)
+_numerators = st.one_of(st.integers(min_value=-9, max_value=9), _big, _big.map(lambda n: -n))
+_denominators = st.one_of(st.sampled_from([1, 2, 6]), _big)
+exact_quaternions = st.one_of(
+    st.just(Quaternion.zero()),
+    st.builds(
+        lambda nums, den: Quaternion(*(Fraction(n, den) for n in nums)),
+        st.tuples(_numerators, _numerators, _numerators, _numerators),
+        _denominators,
+    ),
+)
+HALVES = Quaternion(Fraction(1, 2), 0, Fraction(-3, 2), 1)
+
+
+@given(exact_quaternions, exact_quaternions, exact_quaternions)
+@example(Quaternion(3, -1, 0, 2), HALVES, K)
+@example(HALVES, HALVES, Quaternion(0, Fraction(1, 3), 0, 0))
+@example(Quaternion.zero(), ONE, Quaternion.zero())
+def test_sub_mul_is_difference_of_product(x, l, y):
+    fused = _sub_mul(x, l, y)
+    assert type(fused) is Quaternion
+    assert tuple(fused) == tuple(x - l * y)
+
+
+@given(st.lists(st.tuples(exact_quaternions, exact_quaternions), min_size=1, max_size=8))
+@example([(HALVES, I), (J, HALVES), (ONE, K)])
+@example([(I, J), (K, ONE), (HALVES, HALVES), (Quaternion.zero(), HALVES)])
+def test_dot_is_left_fold_of_products(pairs):
+    left, right = zip(*pairs)
+    total = left[0] * right[0]
+    for u, v in pairs[1:]:
+        total = total + u * v
+    fused = _dot(left, right)
+    assert type(fused) is Quaternion
+    assert tuple(fused) == tuple(total)
