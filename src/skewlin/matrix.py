@@ -12,7 +12,8 @@ contracts:
 and they are exchanged by the transpose duality functor:
 ``cr_product(A, B) == rc_product(A.T, B.T).T``.  Each entry of either
 product is one :func:`skewlin.quaternion._dot`, normalized once rather than
-once per term.
+once per term, over the lcm of the term denominators rather than their
+product.
 
 Grid positions in named operations (``minor``, quasideterminant positions,
 rank index sets) are 1-based, matching the index conventions of the
@@ -194,6 +195,8 @@ class Matrix:
 
 
 def _check_size(n, what):
+    if type(n) is not int:
+        raise TypeError(f"{what} count must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"{what} count must be nonnegative, got {n}")
 

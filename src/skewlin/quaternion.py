@@ -21,8 +21,13 @@ denominator, kept coprime, so every result is normalized by a 5-way gcd.  The
 elimination kernel and the matrix products normalize once per result, not
 once per operation: :func:`_sub_mul` forms the update ``x - l*y`` and
 :func:`_dot` a sum of products on raw integer numerators before a single
-gcd.  The tuple layout is private: the components are exposed as
-:class:`fractions.Fraction` values.
+gcd.  Since the gcd's cost grows with the size of its arguments, both put
+their numerators over the smallest denominator they can find cheaply:
+:func:`_dot` over the lcm of its term denominators, and :func:`_sub_mul`
+over the denominator of ``l*y`` whenever that of ``x`` divides it, or over
+the denominator of ``y`` alone when ``x`` and ``l`` share a denominator that
+divides out exactly.  The tuple layout is private: the components are
+exposed as :class:`fractions.Fraction` values.
 """
 
 from fractions import Fraction
@@ -219,7 +224,21 @@ def _build(nw, nx, ny, nz, den):
 
 def _sub_mul(x, l, y):
     """``x - l * y``, normalized once instead of once for the product and
-    once for the difference."""
+    once for the difference.
+
+    The product ``l * y`` has the denominator ``dl * dy``; the difference is
+    put over the smallest denominator at hand before the gcd:
+
+    * ``dx == dl`` (the lead is an entry of ``x``'s own row): over
+      ``dl * dy``, then over ``dy`` when ``dl`` divides all four
+      numerators.  By Sylvester's identity, as in Bareiss's fraction-free
+      elimination, the previous pivot's denominator usually cancels here,
+      and one exact division by ``dl`` is cheaper than leaving those bits
+      to the gcd; the ``divmod`` chain stops at the first remainder.
+    * ``dx`` divides ``dl * dy``: over ``dl * dy``, with ``x`` scaled by the
+      exact quotient.
+    * otherwise over ``dx * dl * dy``.
+    """
     a, b, c, d, dl = l
     e, f, g, h, dy = y
     pw = a * e - b * f - c * g - d * h
@@ -228,8 +247,22 @@ def _sub_mul(x, l, y):
     pz = a * h + b * g - c * f + d * e
     den = dl * dy
     xw, xx, xy, xz, dx = x
-    if dx == 1:
-        return _build(xw * den - pw, xx * den - px, xy * den - py, xz * den - pz, den)
+    if dx == dl:
+        nw, nx, ny, nz = xw * dy - pw, xx * dy - px, xy * dy - py, xz * dy - pz
+        if dl > 1:
+            qw, r = divmod(nw, dl)
+            if not r:
+                qx, r = divmod(nx, dl)
+                if not r:
+                    qy, r = divmod(ny, dl)
+                    if not r:
+                        qz, r = divmod(nz, dl)
+                        if not r:
+                            return _build(qw, qx, qy, qz, dy)
+        return _build(nw, nx, ny, nz, den)
+    scale, r = divmod(den, dx)
+    if not r:
+        return _build(xw * scale - pw, xx * scale - px, xy * scale - py, xz * scale - pz, den)
     return _build(xw * den - pw * dx, xx * den - px * dx, xy * den - py * dx,
                   xz * den - pz * dx, den * dx)
 
@@ -237,7 +270,9 @@ def _sub_mul(x, l, y):
 def _dot(left, right):
     """``sum(l * r for l, r in zip(left, right))``, each left factor on the
     left, normalized once: the numerators accumulate over a running
-    denominator that grows only when a term's denominator differs from it."""
+    denominator, the lcm of the term denominators so far.  A term over the
+    same denominator is added directly; otherwise both sides are scaled by
+    their cofactors over ``gcd(den, term_den)``."""
     sw = sx = sy = sz = 0
     den = 1
     for (a, b, c, d, d1), (e, f, g, h, d2) in zip(left, right):
@@ -252,11 +287,14 @@ def _dot(left, right):
             sy += py
             sz += pz
         else:
-            sw = sw * term_den + pw * den
-            sx = sx * term_den + px * den
-            sy = sy * term_den + py * den
-            sz = sz * term_den + pz * den
-            den *= term_den
+            common = gcd(den, term_den)
+            up = term_den // common
+            across = den // common
+            sw = sw * up + pw * across
+            sx = sx * up + px * across
+            sy = sy * up + py * across
+            sz = sz * up + pz * across
+            den *= up
     return _build(sw, sx, sy, sz, den)
 
 

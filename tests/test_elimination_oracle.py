@@ -318,3 +318,24 @@ def test_products_match_schoolbook_product(pair):
     assert rc_product(a, b) == schoolbook_product(a, b)
     # cr_product(a.T, b.T)[j][i] = sum_k a.T[k][i] * b.T[j][k] = sum_k a[i][k] * b[k][j]
     assert cr_product(a.T, b.T).T == schoolbook_product(a, b)
+
+
+def _big_integer_matrix(rng, rows, cols, digits):
+    def entry():
+        return Quaternion(*(rng.randrange(-10**digits, 10**digits) for _ in range(4)))
+
+    return Matrix([[entry() for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_kernel_matches_oracle_on_big_entries(seed):
+    # 60-digit integer entries grow to denominators of hundreds of digits;
+    # nearly every update of a row by its own lead then divides exactly by
+    # the lead's denominator
+    rng = random.Random(seed)
+    a = _big_integer_matrix(rng, 4, 4, 60)
+    assert lib.rc_inverse(a) == oracle_rc_inverse(a)
+    for p, r in ((4, 4), (1, 1)):
+        assert lib.rc_quasideterminant(a, p, r) == oracle_rc_quasideterminant(a, p, r)
+    b = _big_integer_matrix(rng, 2, 4, 60)
+    assert lib.solve_nonsingular(a, b) == oracle_solve_nonsingular(a, b)

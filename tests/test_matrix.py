@@ -197,3 +197,18 @@ def test_matrix_parse_rejects_malformed(bad):
 def test_negative_sizes_are_rejected(build, size):
     with pytest.raises(ValueError, match=size):
         build()
+
+
+@pytest.mark.parametrize(
+    "build,size",
+    [
+        (lambda: Matrix([], cols=2.0), "column count must be an integer, got 2.0"),
+        (lambda: Matrix([], cols=True), "column count must be an integer, got True"),
+        (lambda: Matrix.identity(2.5), "row count must be an integer, got 2.5"),
+        (lambda: Matrix.zeros(True, 2), "row count must be an integer, got True"),
+    ],
+    ids=["cols-float", "cols-bool", "identity-float", "zeros-bool"],
+)
+def test_non_integer_sizes_are_rejected(build, size):
+    with pytest.raises(TypeError, match=size):
+        build()

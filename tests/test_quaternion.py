@@ -170,12 +170,27 @@ exact_quaternions = st.one_of(
     ),
 )
 HALVES = Quaternion(Fraction(1, 2), 0, Fraction(-3, 2), 1)
+SIXTHS = Quaternion(Fraction(13, 6), Fraction(1, 6), 0, 0)
+SIXTH = Quaternion(Fraction(1, 6))
 
 
+# One example per denominator case of _sub_mul, with dx, dl, dy the
+# denominators of x, l, y:
 @given(exact_quaternions, exact_quaternions, exact_quaternions)
-@example(Quaternion(3, -1, 0, 2), HALVES, K)
+# dx == dl == 6, and 6 divides every numerator of x*dy - l*y: (60, -6, 0, 0)
+@example(SIXTHS, SIXTH, Quaternion(1, Fraction(11, 5), 0, 0))
+# dx == dl == 6, and 6 divides the first numerator (60) but not the second (3)
+@example(SIXTHS, SIXTH, Quaternion(1, Fraction(2, 5), 0, 0))
+# dx == dl == 2, and 2 divides no numerator
 @example(HALVES, HALVES, Quaternion(0, Fraction(1, 3), 0, 0))
+# dx == dl == 1
 @example(Quaternion.zero(), ONE, Quaternion.zero())
+# dx = 1 and dx = 2 dividing dl * dy = 6
+@example(Quaternion(3, -1, 0, 2), HALVES, K)
+@example(HALVES, Quaternion(Fraction(1, 3), Fraction(1, 6), 0, 0), J)
+# dx = 5 dividing neither dl = 2 nor dl * dy = 6
+@example(Quaternion(Fraction(1, 5), 0, Fraction(2, 5), 0), HALVES,
+         Quaternion(0, Fraction(1, 3), 0, 0))
 def test_sub_mul_is_difference_of_product(x, l, y):
     fused = _sub_mul(x, l, y)
     assert type(fused) is Quaternion
@@ -185,6 +200,16 @@ def test_sub_mul_is_difference_of_product(x, l, y):
 @given(st.lists(st.tuples(exact_quaternions, exact_quaternions), min_size=1, max_size=8))
 @example([(HALVES, I), (J, HALVES), (ONE, K)])
 @example([(I, J), (K, ONE), (HALVES, HALVES), (Quaternion.zero(), HALVES)])
+# term denominators 2, 4, 2, 3, 18 against running denominators 1, 2, 4, 4,
+# 12: a multiple of the running one, again, a divisor of it, coprime to it,
+# and sharing the factor 6 with it
+@example([
+    (HALVES, I),
+    (HALVES, HALVES),
+    (ONE, HALVES),
+    (Quaternion(Fraction(1, 3)), K),
+    (Quaternion(0, Fraction(1, 9)), HALVES),
+])
 def test_dot_is_left_fold_of_products(pairs):
     left, right = zip(*pairs)
     total = left[0] * right[0]
