@@ -202,7 +202,7 @@ def _check_size(n, what):
 
 
 def _check_index(i, bound, what):
-    if not isinstance(i, int) or not 1 <= i <= bound:
+    if type(i) is not int or not 1 <= i <= bound:
         raise IndexError(f"{what} index {i} out of range 1..{bound}")
     return i - 1
 

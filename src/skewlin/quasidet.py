@@ -3,12 +3,24 @@
 One forward elimination pass with left row operations decides every
 singular/nonsingular question in the library.  :func:`_eliminate_rows` reduces
 each row, in order, against the echelon rows kept so far and keeps it when a
-nonzero remains; :func:`_solve_row` reduces a further row against the kept
-echelon rows and reads off the left coefficients that produce it.  A square
-matrix is invertible exactly when the pass keeps every row, and the inverse
-solves ``x * a = e`` for each unit row ``e``; it is automatically two-sided
-because one-sided inverses coincide in a matrix ring over a division ring.
-``rank`` builds rank, row dependence and the solvers on the same pass.
+nonzero remains.  It records the multipliers it applied and the inverse of
+each new pivot, so the kept rows factor as ``L * E``: ``E`` holds the echelon
+rows, scaled to a one at their pivots, and ``L`` is lower triangular with the
+multipliers below its diagonal and the pivots on it.  These are the
+multipliers and pivots of Gauss (LDU) elimination, which over a skew field
+are quasideterminants (Gelfand, Gelfand, Retakh and Wilson,
+*Quasideterminants*).
+
+:func:`_solve_row` finds the left coefficients ``x`` on the kept rows with
+``x * (kept rows) == b``, for one row ``b``, in two steps: reducing ``b``
+against the echelon rows writes it as ``z * E`` (or leaves a nonzero
+remainder, when ``b`` is outside the row span), and back substitution solves
+``x * L == z``, one sum normalised once per unknown.  A square matrix
+is invertible exactly when the pass keeps every row, and its inverse solves
+``x * a == e`` for each unit row ``e`` with the same factors; it is
+automatically two-sided because one-sided inverses coincide in a matrix ring
+over a division ring.  ``rank`` builds rank, row dependence and the solvers
+on the same pass.
 
 The quasideterminant at position ``(p, r)`` is the noncommutative analogue of
 a determinant cofactor ratio:
@@ -28,37 +40,36 @@ the two states are never conflated.
 
 from .errors import DimensionMismatch, SingularMatrixError
 from .matrix import Matrix, rc_product
-from .quaternion import Quaternion, _sub_mul
+from .quaternion import Quaternion, _dot, _sub_mul
 
 
-def _eliminate_rows(a, track):
+def _eliminate_rows(a, every_row):
     """One forward elimination pass over the rows of ``a``, in order, with
     left row operations.
 
-    Returns ``(kept, echelon, dependences)``.  ``kept`` lists the 0-based
-    rows that stayed independent of the rows before them.  ``echelon`` holds
-    one ``(pivot, tail, combination)`` per kept row, sorted by pivot column:
-    the row reduced against the earlier kept rows and scaled to a one at its
-    pivot, stored as the ``(column, entry)`` pairs of its nonzero entries
-    right of the pivot.  With ``track`` set, ``combination`` maps original
-    rows to the left coefficients that produce the echelon row, and
-    ``dependences`` maps each dependent row ``p`` to the combination that
-    annihilates ``a``: one at ``p``, minus its dependence on the kept rows.
-    Without ``track`` both are left empty and the pass stops once every
-    column holds a pivot.
+    Returns ``(kept, echelon, scales, leads)``.  ``kept`` lists the 0-based
+    rows that stayed independent of the rows before them; a kept row's
+    position in ``kept`` is its kept index.  ``echelon`` holds one
+    ``(pivot, tail, t)`` per kept row, sorted by pivot column: the row of
+    kept index ``t`` reduced against the earlier kept rows and scaled to a
+    one at its pivot, stored as the ``(column, entry)`` pairs of its nonzero
+    entries right of the pivot.  ``scales[t]`` is the inverse of that
+    pivot's value ``pi_t`` before scaling, and ``leads[p]`` lists the
+    multipliers ``(t, lambda)`` the reduction of row ``p`` applied, one per
+    echelon row it met with a nonzero lead.  Row ``p`` is therefore
+    ``sum(lambda * E_t) + pi * E_p`` (no last term when it was not kept):
+    the kept rows are ``L * E`` with ``L`` lower triangular in kept order.
+    Without ``every_row`` the pass stops once every column holds a pivot,
+    and ``leads`` covers only the rows it reached.
     """
-    zero = Quaternion.zero()
-    kept, echelon, dependences = [], [], {}
+    kept, echelon, scales, leads = [], [], [], []
     for p, cells in enumerate(a.cells):
-        if not track and len(echelon) == a.cols:
+        if not every_row and len(echelon) == a.cols:
             break
         entries = list(cells)
-        combination = {p: Quaternion.one()} if track else None
-        _reduce(entries, combination, echelon, zero)
+        leads.append(_reduce(entries, echelon))
         pivot = next((j for j, e in enumerate(entries) if not e.is_zero()), None)
         if pivot is None:
-            if track:
-                dependences[p] = combination
             continue
         scale = entries[pivot].inverse()
         tail = [
@@ -66,60 +77,96 @@ def _eliminate_rows(a, track):
             for j, e in enumerate(entries[pivot + 1:], pivot + 1)
             if not e.is_zero()
         ]
-        if track:
-            combination = {i: scale * c for i, c in combination.items()}
-        echelon.append((pivot, tail, combination))
+        echelon.append((pivot, tail, len(kept)))
         echelon.sort(key=lambda row: row[0])
         kept.append(p)
-    return kept, echelon, dependences
+        scales.append(scale)
+    return kept, echelon, scales, leads
 
 
-def _reduce(entries, combination, echelon, zero):
+def _reduce(entries, echelon):
     """Subtract left multiples of the echelon rows from ``entries`` (changed
-    in place) until it is zero on every pivot column.  Going by increasing
-    pivot never disturbs a column already cleared, since each echelon row is
-    zero left of its pivot.  The same operations are applied to
-    ``combination`` unless it is None."""
-    for pivot, tail, row_combination in echelon:
+    in place) until it is zero on every pivot column, and return the
+    multipliers as ``(t, lead)`` pairs, skipping zero leads.  Going by
+    increasing pivot never disturbs a column already cleared, since each
+    echelon row is zero left of its pivot."""
+    zero = Quaternion.zero()
+    leads = []
+    for pivot, tail, t in echelon:
         lead = entries[pivot]
         if lead.is_zero():
             continue
         entries[pivot] = zero
         for j, e in tail:
             entries[j] = _sub_mul(entries[j], lead, e)
-        if combination is not None:
-            for i, c in row_combination.items():
-                combination[i] = _sub_mul(combination.get(i, zero), lead, c)
+        leads.append((t, lead))
+    return leads
 
 
-def _solve_row(entries, echelon, a):
-    """Left coefficients ``x`` (a list, one per row of ``a``) with
-    ``x * a == entries``, from the echelon rows of a tracked pass over ``a``;
-    None when ``entries`` is outside the left row span of ``a``.  Rows that
-    the pass did not keep get a zero coefficient."""
+def _factor(kept, echelon, scales, leads):
+    """The factors ``(echelon, scales, below)`` that :func:`_solve_row`
+    solves with.  ``below[j]`` lists ``(k, -mu_kj)`` for the kept rows ``k``
+    whose reduction met echelon row ``j`` with the lead ``lambda_kj``, where
+    ``mu_kj = lambda_kj * pi_j^-1``: column ``j`` of ``L`` below its
+    diagonal, divided on the right by the diagonal entry once here rather
+    than once per solve, and negated so that back substitution is a plain
+    sum."""
+    below = [[] for _ in kept]
+    for k, p in enumerate(kept):
+        for j, lead in leads[p]:
+            below[j].append((k, -(lead * scales[j])))
+    return echelon, scales, below
+
+
+def _back_substitute(z, factor):
+    """The row ``y`` (a list in kept order) with ``y * L == z``, for ``z``
+    given as ``(t, value)`` pairs of its nonzero entries.  ``L`` is lower
+    triangular, so going backwards each unknown is one sum
+
+        y_j = z_j * pi_j^-1 - sum over k > j of y_k * mu_kj
+
+    normalised once by :func:`_dot`."""
+    _, scales, below = factor
     zero = Quaternion.zero()
+    z = dict(z)
+    y = [zero] * len(scales)
+    for j in reversed(range(len(scales))):
+        left, right = [], []
+        if j in z:
+            left.append(z[j])
+            right.append(scales[j])
+        for k, minus_mu in below[j]:
+            if not y[k].is_zero():
+                left.append(y[k])
+                right.append(minus_mu)
+        if left:
+            y[j] = _dot(left, right)
+    return y
+
+
+def _solve_row(entries, factor):
+    """Left coefficients ``y``, one per kept row in kept order, with
+    ``y * (kept rows) == entries``; None when ``entries`` is outside their
+    left row span.  Reducing ``entries`` against the echelon rows ``E``
+    writes it as ``z * E``, and ``y`` solves ``y * L == z``."""
     entries = list(entries)
-    combination = {}
-    _reduce(entries, combination, echelon, zero)
+    z = _reduce(entries, factor[0])
     if not all(e.is_zero() for e in entries):
         return None
-    # entries minus the combination of rows is zero, so x is its negation
-    x = [zero] * a.rows
-    for i, c in combination.items():
-        x[i] = -c
-    return x
+    return _back_substitute(z, factor)
 
 
-def _nonsingular_echelon(a):
-    """Echelon rows of a tracked pass over ``a``; raises
-    :class:`DimensionMismatch` unless ``a`` is square and
-    :class:`SingularMatrixError` unless the pass keeps every row."""
+def _nonsingular_factor(a):
+    """The factorisation of a full pass over ``a``, whose kept rows are then
+    all of ``a`` in order; raises :class:`DimensionMismatch` unless ``a`` is
+    square and :class:`SingularMatrixError` unless the pass keeps every
+    row."""
     if not a.is_square:
         raise DimensionMismatch(f"only square matrices invert, got {a.shape}")
-    kept, echelon, _ = _eliminate_rows(a, track=True)
+    kept, echelon, scales, leads = _eliminate_rows(a, every_row=True)
     if len(kept) < a.rows:
         raise SingularMatrixError(f"matrix {a} is singular")
-    return echelon
+    return _factor(kept, echelon, scales, leads)
 
 
 def rc_inverse(a):
@@ -128,16 +175,16 @@ def rc_inverse(a):
     Raises :class:`SingularMatrixError` when no inverse exists and
     :class:`DimensionMismatch` for non-square input.
     """
-    echelon = _nonsingular_echelon(a)
+    factor = _nonsingular_factor(a)
     unit_rows = Matrix.identity(a.rows).cells
-    return Matrix([_solve_row(e, echelon, a) for e in unit_rows])
+    return Matrix([_solve_row(e, factor) for e in unit_rows])
 
 
 def is_rc_nonsingular(a):
     """True when ``a`` is square and has a two-sided inverse."""
     if not a.is_square:
         return False
-    kept, _, _ = _eliminate_rows(a, track=False)
+    kept, _, _, _ = _eliminate_rows(a, every_row=False)
     return len(kept) == a.rows
 
 
@@ -157,10 +204,10 @@ def rc_quasideterminant(a, p, r):
     # column r moved last: the complement fills the first n - 1 columns
     cells = [row[:r - 1] + row[r:] + (row[r - 1],) for row in a.cells]
     target = list(cells.pop(p - 1))
-    _, echelon, _ = _eliminate_rows(Matrix(cells, cols=n), track=False)
+    _, echelon, _, _ = _eliminate_rows(Matrix(cells, cols=n), every_row=False)
     if [pivot for pivot, _, _ in echelon] != list(range(n - 1)):
         return None
-    _reduce(target, None, echelon, Quaternion.zero())
+    _reduce(target, echelon)
     return target[-1]
 
 

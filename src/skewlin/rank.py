@@ -19,9 +19,13 @@ testing minors:
   among columns, so the pivots are the first nonsingular column set.
 
 The pass costs polynomial time, whatever the rank deficiency.  The tests
-keep the literal enumeration as the oracle for both readings.  Row
-dependence and both solvers reduce rows against the echelon rows of the same
-pass (``quasidet._solve_row``); none of them forms an inverse.
+keep the literal enumeration as the oracle for both readings.  The pass
+also records its multipliers, which factor the kept rows as ``L * E``
+(lower triangular times echelon).  Row dependence and both solvers reduce a
+row against ``E`` and back-substitute through ``L``
+(``quasidet._solve_row``); none of them forms an inverse.  A dependent row's
+homogeneous basis row is its unit row minus the back substitution of its own
+multipliers.
 
 All index sets are 1-based and refer to the matrix's own display grid.
 """
@@ -30,7 +34,13 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch, InvalidRowError, SingularMatrixError
 from .matrix import Matrix, rc_product
-from .quasidet import _eliminate_rows, _nonsingular_echelon, _solve_row
+from .quasidet import (
+    _back_substitute,
+    _eliminate_rows,
+    _factor,
+    _nonsingular_factor,
+    _solve_row,
+)
 from .quaternion import Quaternion
 
 
@@ -48,7 +58,7 @@ class IndexSelection:
         if len(rows) != len(cols):
             raise ValueError("row and column sets must have equal size")
         for seq in (rows, cols):
-            if len(set(seq)) != len(seq) or any(i < 1 for i in seq):
+            if len(set(seq)) != len(seq) or any(type(i) is not int or i < 1 for i in seq):
                 raise ValueError(f"indices must be distinct 1-based naturals: {seq}")
 
     @property
@@ -64,7 +74,7 @@ class RankReport:
 
 def rc_rank(a):
     """Rank and major minor under the row-times-column product."""
-    kept, echelon, _ = _eliminate_rows(a, track=False)
+    kept, echelon, _, _ = _eliminate_rows(a, every_row=False)
     if not kept:
         return RankReport(0, None)
     rows = tuple(p + 1 for p in kept)
@@ -97,16 +107,16 @@ def row_dependence(a, report, p):
         raise InvalidRowError(f"row {p} belongs to the major minor {sel.rows}")
     core = a.minor(sel.rows, sel.cols)
     outside = [entries[t - 1] for t in sel.cols]
-    return Matrix.row(_solve_row(outside, _nonsingular_echelon(core), core))
+    return Matrix.row(_solve_row(outside, _nonsingular_factor(core)))
 
 
 def solve_nonsingular(a, b):
     """Unique solution of ``x * a = b`` for square nonsingular ``a``:
     ``x = b * inverse(a)``.  Raises :class:`SingularMatrixError` otherwise."""
-    echelon = _nonsingular_echelon(a)
+    factor = _nonsingular_factor(a)
     if b.cols != a.rows:
         raise DimensionMismatch(f"rc product needs {b.shape} x {a.shape} inner match")
-    return Matrix([_solve_row(row, echelon, a) for row in b.cells], cols=a.rows)
+    return Matrix([_solve_row(row, factor) for row in b.cells], cols=a.rows)
 
 
 @dataclass(frozen=True)
@@ -131,32 +141,43 @@ def solve_general(a, b):
     ``b``.  The system is consistent iff ``b`` lies in the left row span of
     ``a``, which is the rank criterion: ``a`` and the extended matrix have
     equal rank.  One elimination pass over the rows of ``a`` gives the major
-    minor, the homogeneous basis (one row per dependent row) and, by reducing
-    ``b`` against the echelon rows, consistency and the particular solution.
+    minor, the homogeneous basis (one row per dependent row, from that row's
+    multipliers) and, by reducing ``b`` against the echelon rows and
+    back-substituting, consistency and the particular solution.
     """
     if b.rows != 1 or b.cols != a.cols:
         raise DimensionMismatch(
             f"right-hand side must be 1 x {a.cols}, got {b.shape}"
         )
-    _, echelon, dependences = _eliminate_rows(a, track=True)
-    free = tuple(p + 1 for p in dependences)
-    basis = tuple(_combination_row(c, a) for c in dependences.values())
-    x = _solve_row(b.cells[0], echelon, a)
+    kept, echelon, scales, leads = _eliminate_rows(a, every_row=True)
+    factor = _factor(kept, echelon, scales, leads)
+    independent = set(kept)
+    dependent = [p for p in range(a.rows) if p not in independent]
+    free = tuple(p + 1 for p in dependent)
+    # a dependent row p is y * (kept rows) for the y that solves y * L ==
+    # its own multipliers, so e_p - y annihilates a
+    one = Quaternion.one()
+    basis = tuple(
+        _on_rows(kept + [p], [-c for c in _back_substitute(leads[p], factor)] + [one], a)
+        for p in dependent
+    )
+    x = _solve_row(b.cells[0], factor)
     if x is None:
         return SolutionSet(False, None, basis, free)
-    # rows outside the major minor never enter the echelon rows'
-    # combinations, so the free variables are zero.
-    particular = Matrix.row(x)
+    # the free variables, on the rows outside the major minor, are zero
+    particular = _on_rows(kept, x, a)
     if rc_product(particular, a) != b:
         raise SingularMatrixError("internal: particular solution fails x * a == b")
     return SolutionSet(True, particular, basis, free)
 
 
-def _combination_row(combination, a):
-    """The 1 x m row of left coefficients on the rows of ``a``."""
+def _on_rows(rows, coefficients, a):
+    """The 1 x m row of left coefficients on the rows of ``a``: each of
+    ``coefficients`` on the matching 0-based row of ``rows``, zero on every
+    other row."""
     entries = [Quaternion.zero()] * a.rows
-    for i, c in combination.items():
-        entries[i] = c
+    for p, c in zip(rows, coefficients):
+        entries[p] = c
     return Matrix.row(entries)
 
 

@@ -36,6 +36,7 @@ from skewlin import (
 from skewlin.sampling import (
     random_matrix,
     random_nonsingular_matrix,
+    random_quaternion,
     random_rank_deficient_stack,
 )
 
@@ -339,3 +340,92 @@ def test_kernel_matches_oracle_on_big_entries(seed):
         assert lib.rc_quasideterminant(a, p, r) == oracle_rc_quasideterminant(a, p, r)
     b = _big_integer_matrix(rng, 2, 4, 60)
     assert lib.solve_nonsingular(a, b) == oracle_solve_nonsingular(a, b)
+
+
+# -- above the brute-force sizes ---------------------------------------------------
+#
+# The oracles above enumerate minors and permutations, so they stop at 5x5.
+# Past that the results are checked by their defining equations, through
+# schoolbook_product: an inverse must be two-sided, a solution must solve, a
+# dependence must reproduce its row and a homogeneous basis row must
+# annihilate the matrix.
+
+
+def _entry(rng, digits):
+    if digits is None:
+        return random_quaternion(rng, 4)
+    return Quaternion(*(rng.randrange(-10**digits, 10**digits) for _ in range(4)))
+
+
+def _left_combination(rng, rows):
+    coefficients = [random_quaternion(rng, 3) for _ in rows]
+    return [
+        sum((c * row[j] for c, row in zip(coefficients, rows)), Quaternion.zero())
+        for j in range(len(rows[0]))
+    ]
+
+
+def _half_rank(rng, n, digits):
+    """Rank ceil(n/2): every odd-numbered row (1-based) is fresh and every
+    even-numbered one is a left combination of the fresh rows above it, so
+    the kept rows are interleaved with the dependent ones and a row's kept
+    index differs from its row index."""
+    rows = []
+    for i in range(n):
+        rows.append([_entry(rng, digits) for _ in range(n)] if i % 2 == 0
+                    else _left_combination(rng, rows[::2]))
+    return Matrix(rows, cols=n)
+
+
+def _check_general_solution(a, b, consistent):
+    solution = lib.solve_general(a, b)
+    assert solution.consistent is consistent
+    if consistent:
+        assert schoolbook_product(solution.particular, a) == b
+    else:
+        assert solution.particular is None
+    assert len(solution.homogeneous_basis) == a.rows - lib.rc_rank(a).rank
+    for row, p in zip(solution.homogeneous_basis, solution.free_variables):
+        assert row[0, p - 1] == Quaternion.one()
+        assert schoolbook_product(row, a) == Matrix.zeros(1, a.cols)
+
+
+def _check_half_rank(rng, n, digits):
+    a = _half_rank(rng, n, digits)
+    report = lib.rc_rank(a)
+    assert report.minor.rows == tuple(range(1, n + 1, 2))
+    kept_rows = a.minor(report.minor.rows, tuple(range(1, n + 1)))
+    for p in range(2, n + 1, 2):
+        c = lib.row_dependence(a, report, p)
+        assert schoolbook_product(c, kept_rows) == Matrix.row(a.row_entries(p))
+    _check_general_solution(a, Matrix.row(_left_combination(rng, a.cells)), True)
+    _check_general_solution(a, Matrix.row([_entry(rng, digits) for _ in range(n)]), False)
+    with pytest.raises(SingularMatrixError):
+        lib.solve_nonsingular(a, Matrix.row(a.row_entries(1)))
+
+
+@pytest.mark.parametrize("n", range(6, 13))
+def test_back_substitution_above_oracle_sizes(n):
+    rng = random.Random(600 + n)
+    a = Matrix([[_entry(rng, None) for _ in range(n)] for _ in range(n)], cols=n)
+    x = lib.rc_inverse(a)
+    assert schoolbook_product(a, x) == Matrix.identity(n) == schoolbook_product(x, a)
+    b = Matrix([[_entry(rng, None) for _ in range(n)] for _ in range(2)], cols=n)
+    assert schoolbook_product(lib.solve_nonsingular(a, b), a) == b
+    _check_general_solution(a, Matrix.row(b.row_entries(1)), True)
+    _check_half_rank(rng, n, None)
+
+
+@pytest.mark.parametrize("n", range(6, 13))
+def test_back_substitution_above_oracle_sizes_on_big_entries(n):
+    # a 60-digit inverse costs seconds at n = 12, so the full-rank inverse is
+    # checked at the smallest size and solve_nonsingular, which runs the same
+    # back substitution, at every size
+    rng = random.Random(700 + n)
+    a = Matrix([[_entry(rng, 60) for _ in range(n)] for _ in range(n)], cols=n)
+    if n == 6:
+        x = lib.rc_inverse(a)
+        assert schoolbook_product(a, x) == Matrix.identity(n) == schoolbook_product(x, a)
+    b = Matrix.row([_entry(rng, 60) for _ in range(n)])
+    assert schoolbook_product(lib.solve_nonsingular(a, b), a) == b
+    _check_half_rank(rng, n, 60)

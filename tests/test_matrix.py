@@ -17,6 +17,7 @@ from skewlin import (
     identity,
     parse_matrix,
     rc_product,
+    rc_quasideterminant,
 )
 from skewlin.sampling import random_matrix
 
@@ -125,6 +126,24 @@ def test_minor_and_indexing(example_matrix):
         example_matrix.minor((3,), (1,))
     with pytest.raises(IndexError):
         example_matrix.row_entries(0)
+
+
+@pytest.mark.parametrize(
+    "access",
+    [
+        lambda a: a.row_entries(True),
+        lambda a: a.column_entries(True),
+        lambda a: a.minor((True,), (1,)),
+        lambda a: a.minor((1,), (2.0,)),
+        lambda a: a.without(1, True),
+        lambda a: rc_quasideterminant(a, True, True),
+    ],
+    ids=["row-bool", "column-bool", "minor-bool", "minor-float", "without-bool", "qdet-bool"],
+)
+def test_non_integer_indices_are_rejected(example_matrix, access):
+    # bool is an int subclass, so True would otherwise pass for index 1
+    with pytest.raises(IndexError, match="index (True|2.0) out of range"):
+        access(example_matrix)
 
 
 def test_scalar_action_is_entrywise_left(example_matrix):

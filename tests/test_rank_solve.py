@@ -2,6 +2,7 @@ import pytest
 
 from skewlin import (
     I,
+    IndexSelection,
     J,
     K,
     InvalidRowError,
@@ -103,6 +104,14 @@ def test_row_dependence_checks_the_row_index(p):
         row_dependence(a, report, p)
     with pytest.raises(IndexError, match=f"row index {p} out of range 1..3"):
         row_dependence(Matrix.zeros(3, 2), rc_rank(Matrix.zeros(3, 2)), p)
+
+
+@pytest.mark.parametrize(
+    "rows,cols", [((True,), (1,)), ((1,), (True,)), ((1.5,), (1,)), ((1, 2), (1, 2.0))]
+)
+def test_index_selection_takes_only_int_indices(rows, cols):
+    with pytest.raises(ValueError, match="indices must be distinct 1-based naturals"):
+        IndexSelection(rows, cols)
 
 
 def test_row_reconstruction_spans_all_columns(rng):
