@@ -87,7 +87,7 @@ class Matrix:
     @classmethod
     def column(cls, entries):
         """n x 1 matrix from a flat sequence."""
-        return cls([[e] for e in entries])
+        return cls([[e] for e in entries], cols=1)
 
     # -- access ----------------------------------------------------------------
 
@@ -131,11 +131,12 @@ class Matrix:
         if self.shape != other.shape:
             raise DimensionMismatch(f"cannot add {self.shape} and {other.shape}")
         return Matrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.cells, other.cells)]
+            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.cells, other.cells)],
+            cols=self.cols,
         )
 
     def __neg__(self):
-        return Matrix([[-a for a in row] for row in self.cells])
+        return Matrix([[-a for a in row] for row in self.cells], cols=self.cols)
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
@@ -144,7 +145,7 @@ class Matrix:
 
     def scale_left(self, s):
         """Left scalar action ``s * M`` (scalars act from the left here)."""
-        return Matrix([[s * a for a in row] for row in self.cells])
+        return Matrix([[s * a for a in row] for row in self.cells], cols=self.cols)
 
     def __rmul__(self, s):
         if isinstance(s, Matrix):
@@ -184,7 +185,8 @@ class Matrix:
                 [a for j, a in enumerate(row) if j != r]
                 for i, row in enumerate(self.cells)
                 if i != p
-            ]
+            ],
+            cols=self.cols - 1,
         )
 
     def __str__(self):

@@ -12,6 +12,11 @@ time, so the oracles share no arithmetic with the library's fused products,
 which a property below checks against it.  The library must return the same
 values, the same ``None`` for an undefined quasideterminant and the same
 exceptions on every square matrix of order at most 5, under both products.
+
+``oracle_rc_inverse_via_quasidet`` is the original entrywise inverse, one
+``rc_quasideterminant`` call per position (the function checked above), the
+definition that the library's one elimination per row must reproduce, value
+for value and message for message, up to order 8.
 """
 
 import random
@@ -146,6 +151,38 @@ def oracle_rc_quasideterminant(a, p, r):
     return a[p - 1, r - 1] - correction[0, 0]
 
 
+def oracle_rc_inverse_via_quasidet(a):
+    """Inverse assembled entrywise from quasideterminants.
+
+    Entry ``(r, p)`` of the inverse is ``inverse(qdet(a, p, r))``; positions
+    whose quasideterminant is undefined correspond exactly to zero entries of
+    the inverse.  A quasideterminant that is defined but zero certifies the
+    matrix singular.  The assembled candidate is verified by a product
+    round-trip.
+    """
+    if not a.is_square:
+        raise DimensionMismatch(f"only square matrices invert, got {a.shape}")
+    n = a.rows
+    if n == 0:
+        return a
+    zero = Quaternion.zero()
+    cells = [[zero] * n for _ in range(n)]
+    for p in range(1, n + 1):
+        for r in range(1, n + 1):
+            q = lib.rc_quasideterminant(a, p, r)
+            if q is None:
+                continue
+            if q.is_zero():
+                raise SingularMatrixError(
+                    f"quasideterminant at ({p}, {r}) is zero, matrix is singular"
+                )
+            cells[r - 1][p - 1] = q.inverse()
+    candidate = Matrix(cells)
+    if schoolbook_product(a, candidate) != Matrix.identity(n):
+        raise SingularMatrixError("no inverse: quasideterminant candidate fails round-trip")
+    return candidate
+
+
 def oracle_row_dependence(a, report, p):
     """Coefficient row expressing row ``p`` through the major-minor rows.
 
@@ -231,6 +268,7 @@ def _check_against_oracle(a, rng, reports):
         dual = ("value", dual[1].transpose())
     assert outcome(lib.cr_inverse, a) == dual, a
     via = outcome(lib.rc_inverse_via_quasidet, a)
+    assert via == outcome(oracle_rc_inverse_via_quasidet, a), a
     if oracle_is_rc_nonsingular(a):
         assert via == ("value", oracle_rc_inverse(a)), a
     else:
@@ -290,6 +328,91 @@ def test_non_square_input_matches_oracle(shape):
         expected = outcome(oracle, *args)
         assert expected[:2] == ("raised", DimensionMismatch)
         assert outcome(f, *args) == expected
+
+
+# -- the inverse from quasideterminants, one elimination per row ----------------
+
+
+def _with_rows(a, replacements):
+    cells = [list(row) for row in a.cells]
+    for i, row in replacements.items():
+        cells[i] = row
+    return Matrix(cells, cols=a.cols)
+
+
+def _triangular(rng, n):
+    """Nonsingular and lower triangular, so its inverse is zero above the
+    diagonal: every position above it has an undefined quasideterminant."""
+    zero = Quaternion.zero()
+    return Matrix(
+        [
+            [random_quaternion(rng, 4, nonzero=True) if j == i
+             else random_quaternion(rng, 4) if j < i else zero
+             for j in range(n)]
+            for i in range(n)
+        ],
+        cols=n,
+    )
+
+
+def _via_quasidet_cases(n):
+    rng = random.Random(800 + n)
+    full = random_nonsingular_matrix(rng, n, bound=4)
+    triangular = _triangular(rng, n)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    # the inverse of a permuted triangular matrix is zero off a permuted
+    # triangle, so its undefined positions are scattered over every row
+    cases = [full, triangular, _sparse(rng, n), _permutation(perm),
+             schoolbook_product(_permutation(perm), _triangular(rng, n))]
+    if n == 1:
+        return cases + [Matrix.zeros(1, 1)]
+    i, j = rng.sample(range(n), 2)
+    q = random_quaternion(rng, 4, nonzero=True)
+    zero_row = [Quaternion.zero()] * n
+    return cases + [
+        # rank n - 1: row i a left multiple of row j
+        _with_rows(full, {i: [q * e for e in full.cells[j]]}),
+        _with_rows(triangular, {i: [q * e for e in triangular.cells[j]]}),
+        # rank at most n - 2: two zero rows
+        _with_rows(full, {i: zero_row, j: zero_row}),
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_inverse_via_quasidet_matches_per_position_oracle(n):
+    for a in _via_quasidet_cases(n):
+        for b in (a, a.transpose()):
+            expected = outcome(oracle_rc_inverse_via_quasidet, b)
+            assert outcome(lib.rc_inverse_via_quasidet, b) == expected, b
+
+
+def test_inverse_via_quasidet_cases_cover_every_branch():
+    # the cases above must reach each outcome of the per-position loop:
+    # an inverse with zero entries, a defined zero quasideterminant, and a
+    # singular matrix whose quasideterminants are all undefined
+    outcomes = [
+        outcome(oracle_rc_inverse_via_quasidet, a)
+        for n in range(1, 9)
+        for a in _via_quasidet_cases(n)
+    ]
+    messages = [o[2] for o in outcomes if o[0] == "raised"]
+    assert any(o[0] == "value" and any(e.is_zero() for row in o[1] for e in row)
+               for o in outcomes)
+    assert any("is zero" in m for m in messages)
+    assert any("round-trip" in m for m in messages)
+
+
+def test_inverse_via_quasidet_does_not_call_the_solver(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rc_inverse_via_quasidet must not use the solver")
+
+    rng = random.Random(9)
+    a = random_nonsingular_matrix(rng, 5, bound=4)
+    expected = oracle_rc_inverse(a)
+    for name in ("rc_inverse", "_solve_row", "_back_substitute"):
+        monkeypatch.setattr(lib.quasidet, name, forbidden)
+    assert lib.rc_inverse_via_quasidet(a) == expected
 
 
 # entries over mixed denominators, zero among them

@@ -231,3 +231,21 @@ def test_negative_sizes_are_rejected(build, size):
 def test_non_integer_sizes_are_rejected(build, size):
     with pytest.raises(TypeError, match=size):
         build()
+
+
+@pytest.mark.parametrize(
+    "build,shape",
+    [
+        (lambda: Matrix.zeros(0, 3) + Matrix.zeros(0, 3), (0, 3)),
+        (lambda: Matrix.zeros(0, 3) - Matrix.zeros(0, 3), (0, 3)),
+        (lambda: -Matrix.zeros(0, 3), (0, 3)),
+        (lambda: Matrix.zeros(0, 3).scale_left(I), (0, 3)),
+        (lambda: parse_matrix("[1, i, j]").without(1, 1), (0, 2)),
+        (lambda: Matrix.column([]), (0, 1)),
+    ],
+    ids=["add", "sub", "neg", "scale_left", "without", "column"],
+)
+def test_zero_row_results_keep_their_width(build, shape):
+    # with no rows the cell grid cannot carry the width, so each operation
+    # must pass it on
+    assert build().shape == shape
