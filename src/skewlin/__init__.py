@@ -93,8 +93,6 @@ from .representations import (
 )
 from .spaces import (
     BasisModel,
-    LinearMap,
-    SpaceType,
     apply_map,
     compose_maps,
     dualize,

@@ -30,10 +30,16 @@ class Base:
             raise ValueError("base labels must be distinct")
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class Section:
     """A total assignment of one fiber value per base point."""
 
-    __slots__ = ("base", "_values")
+    base: Base
+    _values: tuple
+
+    # fiber values may be unhashable (dict-valued trivializations), so
+    # sections do not hash at all
+    __hash__ = None
 
     def __init__(self, base, values):
         if isinstance(values, dict):
@@ -49,12 +55,6 @@ class Section:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "_values", ordered)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Section is immutable")
-
-    def __reduce__(self):
-        return (type(self), (self.base, self._values))
-
     def __getitem__(self, label):
         return self._values[self.base.points.index(label)]
 
@@ -63,11 +63,6 @@ class Section:
 
     def items(self):
         return tuple(zip(self.base.points, self._values))
-
-    def __eq__(self, other):
-        if not isinstance(other, Section):
-            return NotImplemented
-        return self.base == other.base and self._values == other._values
 
     def __repr__(self):
         body = ", ".join(f"{p}: {v}" for p, v in self.items())
@@ -102,10 +97,13 @@ def scalar_action(scalars, vectors):
     return lift_operation(lambda s, m: m.scale_left(s), scalars, vectors)
 
 
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class FiberedLinearMap:
-    """One presentation matrix per point, all of the same shape."""
+    """One presentation matrix per point, all of the same shape.  Compares by
+    identity."""
 
-    __slots__ = ("base", "_matrices")
+    base: Base
+    _matrices: Section
 
     def __init__(self, base, matrices):
         section = matrices if isinstance(matrices, Section) else Section(base, matrices)
@@ -116,12 +114,6 @@ class FiberedLinearMap:
             raise DimensionMismatch(f"fiber matrices differ in shape: {sorted(shapes)}")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "_matrices", section)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiberedLinearMap is immutable")
-
-    def __reduce__(self):
-        return (type(self), (self.base, self._matrices))
 
     def __getitem__(self, label):
         return self._matrices[label]

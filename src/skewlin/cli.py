@@ -90,31 +90,31 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def matrix_command(name, help_text, arity):
+    def matrix_command(name, help_text, arity, runner):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("matrices", nargs="*", metavar="MATRIX",
                        help="matrix text like '[k, -i; -1+k, -i-j]'")
         p.add_argument("--file", action="append", default=[],
                        help="read a matrix from a file (repeatable)")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.set_defaults(arity=arity)
+        p.set_defaults(arity=arity, run=runner)
         return p
 
-    p = matrix_command("qdet", "quasideterminant at a position", 1)
+    p = matrix_command("qdet", "quasideterminant at a position", 1, _run_qdet)
     p.add_argument("--kind", choices=("rc", "cr"), default="rc")
     p.add_argument("--pos", required=True, metavar="P,R",
                    help="1-based position, e.g. 2,2")
 
-    p = matrix_command("inv", "two-sided inverse", 1)
+    p = matrix_command("inv", "two-sided inverse", 1, _run_inv)
     p.add_argument("--kind", choices=("rc", "cr"), default="rc")
 
-    p = matrix_command("rank", "rank and major minor", 1)
+    p = matrix_command("rank", "rank and major minor", 1, _run_rank)
     p.add_argument("--kind", choices=("rc", "cr"), default="rc")
 
-    p = matrix_command("mul", "product of two matrices", 2)
+    p = matrix_command("mul", "product of two matrices", 2, _run_mul)
     p.add_argument("--kind", choices=("rc", "cr"), default="rc")
 
-    p = matrix_command("solve", "general solver for x*A = b", 1)
+    p = matrix_command("solve", "general solver for x*A = b", 1, _run_solve)
     p.add_argument("--rhs", required=True, metavar="ROW",
                    help="right-hand side row, e.g. '[k, -i]'")
 
@@ -122,9 +122,11 @@ def _build_parser():
                        help="factor a representation morphism (JSON in/out)")
     p.add_argument("--file", action="append", default=[],
                    help="read the JSON instance from a file")
+    p.set_defaults(run=_run_repr_decompose)
 
     p = sub.add_parser("demo", help="built-in demonstrations")
     p.add_argument("topic", choices=("paper-example",))
+    p.set_defaults(run=_run_demo)
 
     return parser
 
@@ -170,10 +172,7 @@ def _run_qdet(args, out):
 def _run_inv(args, out):
     (matrix,) = _gather_matrices(args)
     invert = rc_inverse if args.kind == "rc" else cr_inverse
-    try:
-        result = invert(matrix)
-    except SingularMatrixError:
-        raise MathError("singular") from None
+    result = invert(matrix)
     _emit(out, args, format_matrix(result), matrix_json(result))
 
 
@@ -269,17 +268,6 @@ def _run_demo(args, out):
     print(f"cr rank: {cr_rank(a).rank}", file=out)
 
 
-_RUNNERS = {
-    "qdet": _run_qdet,
-    "inv": _run_inv,
-    "rank": _run_rank,
-    "mul": _run_mul,
-    "solve": _run_solve,
-    "repr-decompose": _run_repr_decompose,
-    "demo": _run_demo,
-}
-
-
 def run(argv, out=None, err=None):
     """Parse ``argv`` (no program name) and execute; returns the exit status."""
     out = out if out is not None else sys.stdout
@@ -294,7 +282,7 @@ def run(argv, out=None, err=None):
         # --help prints and exits with status 0
         return exc.code
     try:
-        _RUNNERS[args.command](args, out)
+        args.run(args, out)
     except MathError as exc:
         return _fail(err, 1, exc.code)
     except SingularMatrixError:

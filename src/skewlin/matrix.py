@@ -20,12 +20,14 @@ rank index sets) are 1-based, matching the index conventions of the
 underlying calculus; raw ``matrix[i, j]`` access is plain 0-based Python.
 """
 
+from dataclasses import dataclass
 from itertools import chain, repeat
 
 from .errors import DimensionMismatch
 from .quaternion import Quaternion, _dot, format_quaternion, parse_quaternion
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class Matrix:
     """Immutable rectangular matrix of :class:`Quaternion` entries.
 
@@ -33,7 +35,9 @@ class Matrix:
     0 columns) are permitted; they carry the recursion base cases.
     """
 
-    __slots__ = ("cells", "rows", "cols")
+    cells: tuple
+    rows: int
+    cols: int
 
     def __init__(self, cells, cols=None):
         """``cells`` is a sequence of rows, each a sequence of quaternions.
@@ -53,17 +57,9 @@ class Matrix:
             cols = grid_cols
         elif rows and cols != grid_cols:
             raise DimensionMismatch(f"declared {cols} columns, rows have {grid_cols}")
-        if cols == 0:
-            grid = tuple(() for _ in range(rows))
         object.__setattr__(self, "cells", grid)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
-
-    def __reduce__(self):
-        return (type(self), (self.cells, self.cols))
 
     # -- constructors --------------------------------------------------------
 
@@ -114,14 +110,6 @@ class Matrix:
 
     def __iter__(self):
         return iter(self.cells)
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.shape == other.shape and self.cells == other.cells
-
-    def __hash__(self):
-        return hash((self.shape, self.cells))
 
     # -- pointwise ring structure ---------------------------------------------
 
@@ -242,7 +230,8 @@ def identity(n):
 
 def extended_matrix(a, b):
     """Append the 1 x n right-hand-side row ``b`` below the m x n system
-    matrix ``a``, giving the (m+1) x n block used by the consistency test."""
+    matrix ``a``, giving the (m+1) x n extended matrix: ``x * a = b`` has a
+    solution iff it has the rank of ``a``."""
     if b.rows != 1 or b.cols != a.cols:
         raise DimensionMismatch(
             f"right-hand side must be 1 x {a.cols}, got {b.shape}"

@@ -132,10 +132,7 @@ class Quaternion(tuple):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b, c, d, d1 = self
-        e, f, g, h, d2 = o
-        return _build(a * d2 - e * d1, b * d2 - f * d1, c * d2 - g * d1, d * d2 - h * d1,
-                      d1 * d2)
+        return self + (-o)
 
     def __rsub__(self, other):
         o = self._coerce(other)

@@ -287,6 +287,27 @@ class MorphismDecomposition:
         return to_quotient, across, into_target
 
 
+def _induced(rep, algebra_points, carrier_points, algebra_label, carrier_label):
+    """``rep`` restricted to ``algebra_points`` acting on ``carrier_points``,
+    each resulting element and point replaced by its label.  The quotient
+    takes one representative per class labelled by its class, the image the
+    image points labelled by their position."""
+    return FiniteRepresentation(
+        FiniteMonoid(
+            tuple(
+                tuple(algebra_label[rep.algebra.op(a, b)] for b in algebra_points)
+                for a in algebra_points
+            ),
+            algebra_label[rep.algebra.unit],
+        ),
+        len(carrier_points),
+        tuple(
+            tuple(carrier_label[rep.transform(a, m)] for m in carrier_points)
+            for a in algebra_points
+        ),
+    )
+
+
 def decompose_morphism(morphism):
     """Factor a valid morphism through its kernel congruence and image.
 
@@ -311,41 +332,14 @@ def decompose_morphism(morphism):
                     f"classes {members_a} x {members_m} scatter across {sorted(images)}"
                 )
 
-    quotient_algebra = FiniteMonoid(
-        tuple(
-            tuple(j[f.algebra.op(ca[0], cb[0])] for cb in algebra_classes)
-            for ca in algebra_classes
-        ),
-        j[f.algebra.unit],
+    quotient = _induced(
+        f, [ca[0] for ca in algebra_classes], [cm[0] for cm in carrier_classes], j, big_j
     )
-    quotient = FiniteRepresentation(
-        quotient_algebra,
-        len(carrier_classes),
-        tuple(
-            tuple(big_j[f.transform(ca[0], cm[0])] for cm in carrier_classes)
-            for ca in algebra_classes
-        ),
-    )
-
     algebra_inclusion = tuple(sorted(set(r)))
     carrier_inclusion = tuple(sorted(set(big_r)))
     algebra_index = {b: idx for idx, b in enumerate(algebra_inclusion)}
     carrier_index = {v: idx for idx, v in enumerate(carrier_inclusion)}
-    image_algebra = FiniteMonoid(
-        tuple(
-            tuple(algebra_index[g.algebra.op(x, y)] for y in algebra_inclusion)
-            for x in algebra_inclusion
-        ),
-        algebra_index[g.algebra.unit],
-    )
-    image = FiniteRepresentation(
-        image_algebra,
-        len(carrier_inclusion),
-        tuple(
-            tuple(carrier_index[g.transform(x, v)] for v in carrier_inclusion)
-            for x in algebra_inclusion
-        ),
-    )
+    image = _induced(g, algebra_inclusion, carrier_inclusion, algebra_index, carrier_index)
 
     algebra_bijection = tuple(algebra_index[r[ca[0]]] for ca in algebra_classes)
     carrier_bijection = tuple(carrier_index[big_r[cm[0]]] for cm in carrier_classes)

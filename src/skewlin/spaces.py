@@ -8,35 +8,11 @@ natively; the other three notational models are reached through ``dualize``
 (the transpose duality functor) and mirrored evaluation order.
 """
 
-import enum
 from dataclasses import dataclass
 
 from .matrix import Matrix, rc_product
 from .quasidet import is_rc_nonsingular
 from .rank import rc_rank, solve_nonsingular
-
-# A linear map is its presentation matrix.
-LinearMap = Matrix
-
-
-class SpaceType(enum.Enum):
-    """The four notational models: which side scalars act from and whether
-    vectors are written as sup-rows or sub-rows.  ``DRC`` is the native model;
-    each type's behaviour is the ``dual`` image of its partner's."""
-
-    DRC = "drc"
-    DCR = "dcr"
-    CRD = "crd"
-    RCD = "rcd"
-
-    @property
-    def dual(self):
-        return {
-            SpaceType.DRC: SpaceType.DCR,
-            SpaceType.DCR: SpaceType.DRC,
-            SpaceType.CRD: SpaceType.RCD,
-            SpaceType.RCD: SpaceType.CRD,
-        }[self]
 
 
 @dataclass(frozen=True)
@@ -45,7 +21,6 @@ class BasisModel:
     coordinates of the a-th basis vector in the ambient space."""
 
     matrix: Matrix
-    space_type: SpaceType = SpaceType.DRC
 
     @property
     def dimension(self):
@@ -80,9 +55,10 @@ def compose_maps(a, b):
 
 
 def is_automorphism(h):
-    """True iff ``h`` presents an invertible self-map: square and nonsingular.
-    Such matrices form a group under the product."""
-    return h.is_square and is_rc_nonsingular(h)
+    """True iff ``h`` presents an invertible self-map: square and nonsingular
+    (:func:`is_rc_nonsingular` is False on non-square input).  Such matrices
+    form a group under the product."""
+    return is_rc_nonsingular(h)
 
 
 def dualize(a):

@@ -80,6 +80,61 @@ def test_lift_requires_shared_base():
         add_sections(constant_section(BASE3, K), constant_section(other, K))
 
 
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: lift_operation(lambda: K), ValueError, "need at least one section"),
+        (
+            lambda: check_transition(
+                Section(BASE3, [{0: 0, 1: 0}] * 3), Section(BASE3, [{0: 0, 1: 1}] * 3), []
+            ),
+            ValueError,
+            "fiber map is not a bijection",
+        ),
+        (
+            lambda: check_transition(
+                constant_section(BASE3, Bijection(abs, abs)),
+                constant_section(BASE3, Bijection(abs, abs)),
+                [],
+            ),
+            ValueError,
+            "exhaustive check needs dict-valued fiber maps",
+        ),
+        (
+            lambda: section_to_json(constant_section(BASE3, 1)),
+            TypeError,
+            "cannot serialize fiber value 1",
+        ),
+        (
+            lambda: FiberedLinearMap(BASE3, Section(Base(("p", "q")), [identity(2)] * 2)),
+            BaseMismatchError,
+            "matrix section lives over a different base",
+        ),
+        (
+            lambda: apply_fibered_map(
+                Section(Base(("p", "q")), [Matrix.row([I, J])] * 2),
+                FiberedLinearMap(BASE3, [identity(2)] * 3),
+            ),
+            BaseMismatchError,
+            "section and map live over different bases",
+        ),
+        (
+            lambda: compose_fibered_maps(
+                FiberedLinearMap(Base(("p", "q")), [identity(2)] * 2),
+                FiberedLinearMap(BASE3, [identity(2)] * 3),
+            ),
+            BaseMismatchError,
+            "maps live over different bases",
+        ),
+    ],
+    ids=["lift-nothing", "non-bijective-fiber-map", "exhaustive-needs-dicts", "json-int",
+         "map-of-section", "apply-across-bases", "compose-across-bases"],
+)
+def test_fiber_operations_reject_bad_input(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_lifted_operations_match_pointwise(rng):
     u = random_scalar_section(rng, BASE3)
     v = random_scalar_section(rng, BASE3)
@@ -237,6 +292,25 @@ def test_value_types_copy_and_pickle(value, state, roundtrip):
     result = roundtrip(value)
     assert type(result) is type(value)
     assert state(result) == state(value)
+
+
+def test_value_types_are_frozen_and_keep_their_equality():
+    base = Base(("p", "q"))
+    matrix, section = FIBERS[0], Section(base, [K, FIBERS[1]])
+    fibered = FiberedLinearMap(base, FIBERS)
+    for value, field in ((matrix, "cells"), (section, "base"), (fibered, "base")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        # an unknown name may raise TypeError instead: on some Python versions
+        # (3.11 here) a frozen slotted dataclass's __setattr__ calls super()
+        # on the class as it was before its slots were added
+        with pytest.raises((AttributeError, TypeError)):
+            value.extra = None
+    assert hash(matrix) == hash(Matrix([[K, I], [J, 1 + K]]))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(section)
+    twin = FiberedLinearMap(base, FIBERS)
+    assert fibered == fibered and fibered != twin and len({fibered, twin}) == 2
 
 
 def test_fibered_coordinate_isomorphism(rng):

@@ -138,6 +138,12 @@ def test_mul_shape_mismatch_is_input_error():
     assert err.startswith("error: dimension")
 
 
+def test_solve_rhs_width_mismatch_is_input_error():
+    status, out, err = invoke(["solve", "[1, 2]", "--rhs", "[1]"])
+    assert (status, out) == (2, "")
+    assert err == "error: dimension: right-hand side must be 1 x 2, got (1, 1)\n"
+
+
 def test_parse_failure_is_input_error():
     status, _, err = invoke(["rank", "[q]"])
     assert status == 2
@@ -263,6 +269,34 @@ def test_repr_decompose_mistyped_json_is_input_error(monkeypatch, text):
     assert status == 2 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: input: ")
+
+
+@pytest.mark.parametrize(
+    "path,value,message",
+    [
+        (("f", "algebra", "size"), 5, "declared algebra size does not match the table"),
+        (("f", "algebra", "table"), [[0, 1]] * 4, "multiplication table must be square"),
+        (("f", "algebra", "table", 0, 0), 4, "table entries must index elements"),
+        (("f", "algebra", "unit"), 4, "unit must index an element"),
+        (("f", "action"), [[0, 1, 2, 3]] * 3, "need one transformation per algebra element"),
+        (("f", "action", 0, 0), 4, "transformations must be total maps of the carrier"),
+        (("morphism", "r", 3), 2, "algebra map must be total into the target algebra"),
+        (("morphism", "R", 3), 2, "carrier map must be total into the target carrier"),
+    ],
+    ids=["algebra-size", "table-square", "table-entry", "unit", "action-count",
+         "action-entry", "algebra-map", "carrier-map"],
+)
+def test_repr_decompose_out_of_range_is_input_error(monkeypatch, path, value, message):
+    instance = _decompose_instance()
+    *keys, last = path
+    node = instance
+    for key in keys:
+        node = node[key]
+    node[last] = value
+    status, out, err = invoke(
+        ["repr-decompose"], stdin_text=json.dumps(instance), monkeypatch=monkeypatch
+    )
+    assert (status, out, err) == (2, "", f"error: input: {message}\n")
 
 
 def test_repr_decompose_mistyped_morphism_is_input_error(monkeypatch):

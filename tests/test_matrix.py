@@ -93,6 +93,20 @@ def test_shape_mismatch_raises():
 
 
 @pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: Matrix([[I, J]], cols=3), "declared 3 columns, rows have 2"),
+        (lambda: Matrix.zeros(2, 3) + Matrix.zeros(3, 2), r"cannot add \(2, 3\) and \(3, 2\)"),
+        (lambda: Matrix.zeros(2, 3) - Matrix.zeros(2, 2), r"cannot add \(2, 3\) and \(2, 2\)"),
+    ],
+    ids=["declared-cols", "add", "sub"],
+)
+def test_shapes_must_agree(build, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        build()
+
+
+@pytest.mark.parametrize(
     "build",
     [
         lambda: Matrix([I, J]),

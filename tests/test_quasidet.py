@@ -144,6 +144,11 @@ def test_duality_on_random_squares(rng):
                 assert cr_quasideterminant(a, i, j) == rc_quasideterminant(a.T, i, j)
 
 
+def test_inverse_via_quasidet_requires_square():
+    with pytest.raises(DimensionMismatch, match=r"only square matrices invert, got \(2, 3\)"):
+        rc_inverse_via_quasidet(Matrix.zeros(2, 3))
+
+
 def test_inverse_via_quasidet_identity():
     assert rc_inverse_via_quasidet(identity(2)) == identity(2)
 

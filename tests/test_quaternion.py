@@ -58,6 +58,12 @@ def test_scalar_coercion():
     assert Fraction(1, 2) * I == Quaternion(0, Fraction(1, 2), 0, 0)
 
 
+@pytest.mark.parametrize("component", [0.5, "1", None])
+def test_components_must_be_exact_rationals(component):
+    with pytest.raises(TypeError, match="quaternion components must be exact rationals"):
+        Quaternion(1, component)
+
+
 @given(quaternions, quaternions, quaternions)
 def test_multiplication_associative(a, b, c):
     assert (a * b) * c == a * (b * c)

@@ -114,6 +114,11 @@ def test_index_selection_takes_only_int_indices(rows, cols):
         IndexSelection(rows, cols)
 
 
+def test_index_selection_sets_have_equal_size():
+    with pytest.raises(ValueError, match="row and column sets must have equal size"):
+        IndexSelection((1, 2), (1,))
+
+
 def test_row_reconstruction_spans_all_columns(rng):
     # reconstruction must hold on every column, not just those of the minor
     for _ in range(10):

@@ -215,6 +215,19 @@ def test_morphism_from_base_points():
     assert check_morphism(built_shifted)
 
 
+@pytest.mark.parametrize(
+    "target,message",
+    [(C2_SWAP, "orbit transport is ambiguous"),
+     (TRIVIAL_ON_TWO, "source representation is not transitive")],
+    ids=["ambiguous", "not-transitive"],
+)
+def test_morphism_from_base_points_needs_a_single_orbit(target, message):
+    # acting trivially, every element sends base point 0 to itself: point 1
+    # is never reached, and with the swap as target point 0 goes to 0 and 1
+    with pytest.raises(InvalidMorphismError, match=message):
+        morphism_from_base_points(TRIVIAL_ON_TWO, target, (0, 1), 0, 0)
+
+
 def test_json_roundtrip():
     rep = rotation_representation(3)
     assert representation_from_json(representation_to_json(rep)) == rep

@@ -8,7 +8,6 @@ from skewlin import (
     Matrix,
     Quaternion,
     SingularMatrixError,
-    SpaceType,
     apply_map,
     compose_maps,
     cr_product,
@@ -24,13 +23,6 @@ from skewlin import (
     rc_quasideterminant,
 )
 from skewlin.sampling import random_matrix, random_nonsingular_matrix, random_quaternion, random_row
-
-
-def test_space_type_duality_pairing():
-    assert SpaceType.DRC.dual is SpaceType.DCR
-    assert SpaceType.CRD.dual is SpaceType.RCD
-    for t in SpaceType:
-        assert t.dual.dual is t
 
 
 def test_expand_in_standard_basis(rng):
