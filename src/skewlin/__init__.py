@@ -27,6 +27,7 @@ from .errors import (
     DimensionMismatch,
     IllDefinedQuotientError,
     InvalidMorphismError,
+    InvalidRepresentationError,
     InvalidRowError,
     ParseError,
     SingularMatrixError,

@@ -128,16 +128,12 @@ class FiberedLinearMap:
 
 def apply_fibered_map(vectors, fibered_map):
     """Pointwise image ``result(x) = v(x) * H(x)`` of a section of rows."""
-    if vectors.base != fibered_map.base:
-        raise BaseMismatchError("section and map live over different bases")
     return lift_operation(rc_product, vectors, fibered_map.matrices())
 
 
 def compose_fibered_maps(first, second):
     """Pointwise product of presentation matrices; applying the composite
     equals applying ``first`` then ``second``."""
-    if first.base != second.base:
-        raise BaseMismatchError("maps live over different bases")
     return FiberedLinearMap(
         first.base, lift_operation(rc_product, first.matrices(), second.matrices())
     )

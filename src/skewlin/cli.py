@@ -12,13 +12,14 @@ with a one-line ``error: <code>[: detail]`` diagnostic on stderr.
 """
 
 import argparse
-import contextlib
+import functools
 import json
 import sys
 
 from .errors import (
     DimensionMismatch,
     InvalidMorphismError,
+    InvalidRepresentationError,
     ParseError,
     SingularMatrixError,
 )
@@ -32,7 +33,6 @@ from .quasidet import (
 from .quaternion import format_quaternion
 from .rank import cr_rank, rc_rank, solve_general
 from .representations import (
-    check_morphism,
     decompose_morphism,
     morphism_from_json,
     morphism_to_json,
@@ -55,11 +55,18 @@ class _UsageError(Exception):
     """Command-line usage problem reported by the argument parser."""
 
 
+class _HelpText(Exception):
+    """Text the argument parser would print for ``--help``."""
+
+
 class _Parser(argparse.ArgumentParser):
-    # argparse prints usage to the real stderr and exits; raise instead so
-    # run() reports one error line on its own ``err`` stream
+    # argparse prints to the process's own streams and exits; raise instead
+    # so run() writes to its ``out`` and ``err`` and leaves sys.stdout alone
     def error(self, message):
         raise _UsageError(message)
+
+    def _print_message(self, message, file=None):
+        raise _HelpText(message)
 
 
 def _fraction_json(f):
@@ -83,7 +90,10 @@ def matrix_json(m):
     }
 
 
-def _build_parser():
+@functools.cache
+def _parser():
+    """The argument parser, built on first use and shared by every run():
+    parsing reads it and never changes it."""
     parser = _Parser(
         prog="skewlin",
         description="Exact skew-field linear algebra on quaternion matrices.",
@@ -243,9 +253,12 @@ def _run_repr_decompose(args, out):
     source = representation_from_json(instance["f"])
     target = representation_from_json(instance["g"])
     morphism = morphism_from_json(instance["morphism"], source, target)
-    if not check_morphism(morphism):
-        raise MathError("invalid-morphism")
-    decomposition = decompose_morphism(morphism)
+    try:
+        decomposition = decompose_morphism(morphism)
+    except InvalidRepresentationError:
+        raise MathError("invalid-representation") from None
+    except InvalidMorphismError:
+        raise MathError("invalid-morphism") from None
     to_quotient, across, into_target = decomposition.factor_morphisms(morphism)
     payload = {
         "quotient": representation_to_json(decomposition.quotient),
@@ -273,14 +286,12 @@ def run(argv, out=None, err=None):
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        # --help prints through sys.stdout; keep it on ``out``
-        with contextlib.redirect_stdout(out):
-            args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         return _fail(err, 2, f"usage: {exc}")
-    except SystemExit as exc:
-        # --help prints and exits with status 0
-        return exc.code
+    except _HelpText as exc:
+        out.write(exc.args[0])
+        return 0
     try:
         args.run(args, out)
     except MathError as exc:
@@ -291,8 +302,6 @@ def run(argv, out=None, err=None):
         return _fail(err, 2, f"parse: {exc}")
     except DimensionMismatch as exc:
         return _fail(err, 2, f"dimension: {exc}")
-    except InvalidMorphismError as exc:
-        return _fail(err, 2, f"invalid-morphism: {exc}")
     except (ValueError, IndexError, KeyError, OSError) as exc:
         return _fail(err, 2, f"input: {exc}")
     return 0

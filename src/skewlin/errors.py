@@ -26,6 +26,11 @@ class InvalidMorphismError(ValueError):
     """A pair of maps fails the representation-morphism laws."""
 
 
+class InvalidRepresentationError(InvalidMorphismError):
+    """A morphism's source or target fails the representation laws: the unit
+    must act as the identity and a product as the composition of actions."""
+
+
 class IllDefinedQuotientError(RuntimeError):
     """The induced quotient action is not constant on equivalence classes.
 

@@ -1,9 +1,9 @@
 """Finite monoid actions and the factorization of their morphisms.
 
 A representation here is a homomorphism from a finite monoid into the
-left transformations of a finite set; everything is small enough that the
-defining laws, effectiveness, transitivity and the morphism condition are
-checked exhaustively.
+left transformations of a finite set.  Associativity, the representation
+laws and the morphism laws are checked on a generating set (Light's test);
+effectiveness and transitivity are checked exhaustively.
 
 The central result implemented is the factorization of a morphism
 ``(r, R)`` into surjection, bijection and inclusion parts
@@ -16,27 +16,35 @@ decomposition deterministic.
 
 The richer general-algebra notion (arbitrary operation signature) is
 restricted to monoids: one binary operation and a unit suffice for every
-statement exercised here, and finite tables keep all checks exhaustive.
+statement exercised here, and finite tables keep all checks decidable.
+
+Rows are built as ``tuple([...])``, at their exact size.  CPython allocates
+a tuple built from a generator at ten entries and resizes it, so a row of 11
+to 19 entries is freed onto the tuple free list of its final size, which
+such builds never draw from again; the lists grow until a full collection.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import IllDefinedQuotientError, InvalidMorphismError
+from .errors import IllDefinedQuotientError, InvalidMorphismError, InvalidRepresentationError
 
 
 @dataclass(frozen=True)
 class FiniteMonoid:
     """Multiplication table of a finite monoid.
 
-    ``table[a][b]`` is the product ``a*b``; associativity and the unit laws
-    are verified exhaustively at construction.
+    ``table[a][b]`` is the product ``a*b``; the unit laws and associativity
+    are verified at construction.  ``generators`` reach every element from
+    the unit by right multiplication, so a law that holds for each generator
+    and is preserved by products holds for every element.
     """
 
     table: tuple
     unit: int
+    generators: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        table = tuple(tuple(row) for row in self.table)
+        table = tuple([tuple(row) for row in self.table])
         object.__setattr__(self, "table", table)
         n = len(table)
         if any(len(row) != n for row in table):
@@ -49,11 +57,14 @@ class FiniteMonoid:
         for a in range(n):
             if table[e][a] != a or table[a][e] != a:
                 raise ValueError(f"unit laws fail at element {a}")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if table[table[a][b]][c] != table[a][table[b][c]]:
-                        raise ValueError(f"associativity fails at ({a}, {b}, {c})")
+        generators = _generators(table, e)
+        object.__setattr__(self, "generators", generators)
+        # Light's test: the elements b with (a*b)*c == a*(b*c) for every a
+        # and c are closed under the product and hold the unit, so they are
+        # all elements once they hold the generators
+        if not all(_associates_through(table, b) for b in generators):
+            a, b, c = _first_nonassociative_triple(table)
+            raise ValueError(f"associativity fails at ({a}, {b}, {c})")
 
     @property
     def size(self):
@@ -67,16 +78,47 @@ class FiniteMonoid:
         this monoid are plain left actions of the opposite one."""
         n = self.size
         return FiniteMonoid(
-            tuple(tuple(self.table[b][a] for b in range(n)) for a in range(n)),
-            self.unit,
+            [[self.table[b][a] for b in range(n)] for a in range(n)], self.unit
         )
+
+
+def _generators(table, unit):
+    """Greedy generating set: each element that the generators so far do not
+    reach from ``unit`` by right multiplication becomes the next generator."""
+    reached = {unit}
+    generators = []
+    for x in range(len(table)):
+        if x in reached:
+            continue
+        generators.append(x)
+        pending = [table[a][x] for a in reached]
+        while pending:
+            a = pending.pop()
+            if a not in reached:
+                reached.add(a)
+                row = table[a]
+                pending.extend([row[g] for g in generators])
+    return tuple(generators)
+
+
+def _associates_through(table, b):
+    """True iff ``(a*b)*c == a*(b*c)`` for every ``a`` and ``c``."""
+    row_b = table[b]
+    return all(table[row_a[b]] == tuple([row_a[v] for v in row_b]) for row_a in table)
+
+
+def _first_nonassociative_triple(table):
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return a, b, c
 
 
 def cyclic_monoid(n):
     """The cyclic group of order ``n`` as a monoid table."""
-    return FiniteMonoid(
-        tuple(tuple((a + b) % n for b in range(n)) for a in range(n)), 0
-    )
+    return FiniteMonoid([[(a + b) % n for b in range(n)] for a in range(n)], 0)
 
 
 @dataclass(frozen=True)
@@ -91,7 +133,7 @@ class FiniteRepresentation:
     action: tuple
 
     def __post_init__(self):
-        action = tuple(tuple(m) for m in self.action)
+        action = tuple([tuple(m) for m in self.action])
         object.__setattr__(self, "action", action)
         if len(action) != self.algebra.size:
             raise ValueError("need one transformation per algebra element")
@@ -108,21 +150,22 @@ def rotation_representation(n):
     return FiniteRepresentation(
         cyclic_monoid(n),
         n,
-        tuple(tuple((a + m) % n for m in range(n)) for a in range(n)),
+        [[(a + m) % n for m in range(n)] for a in range(n)],
     )
 
 
 def validate_representation(rep):
     """True iff the unit acts as the identity and the action of a product is
-    the composition of the actions (checked over all pairs and points)."""
-    n, size = rep.algebra.size, rep.carrier
-    identity = tuple(range(size))
-    if rep.action[rep.algebra.unit] != identity:
+    the composition of the actions.  Checking ``phi(a*g) == phi(a) o phi(g)``
+    for every ``a`` and every generator ``g`` suffices: the monoid is
+    associative, so the law then extends from ``b`` to ``b*g``."""
+    action, table = rep.action, rep.algebra.table
+    if action[rep.algebra.unit] != tuple(range(rep.carrier)):
         return False
-    for a in range(n):
-        for b in range(n):
-            composed = tuple(rep.action[a][rep.action[b][m]] for m in range(size))
-            if rep.action[rep.algebra.op(a, b)] != composed:
+    for g in rep.algebra.generators:
+        phi_g = action[g]
+        for a, phi_a in enumerate(action):
+            if action[table[a][g]] != tuple([phi_a[m] for m in phi_g]):
                 return False
     return True
 
@@ -180,20 +223,37 @@ class RepMorphism:
 
 
 def check_morphism(morphism):
-    """True iff the algebra map is a monoid homomorphism and the carrier map
-    intertwines the actions: ``R(f(a)m) == g(r(a))(R(m))`` for all a, m."""
+    """True iff source and target are representations, the algebra map is a
+    monoid homomorphism and the carrier map intertwines the actions:
+    ``R(f(a)m) == g(r(a))(R(m))`` for all a, m.
+
+    Returns False when the source or the target is not a representation:
+    the laws are checked on the source's generators, which decides them only
+    between representations."""
+    return (
+        validate_representation(morphism.source)
+        and validate_representation(morphism.target)
+        and _preserves_structure(morphism)
+    )
+
+
+def _preserves_structure(morphism):
+    """The morphism laws between representations, on the generators ``x`` of
+    the source monoid: ``r(e) == e'``, ``r(a*x) == r(a)*r(x)`` for every
+    ``a``, and ``R o f(x) == g(r(x)) o R``.  By induction on products each
+    extends to every element."""
     f, g = morphism.source, morphism.target
     r, big_r = morphism.algebra_map, morphism.carrier_map
+    source, target = f.algebra.table, g.algebra.table
     if r[f.algebra.unit] != g.algebra.unit:
         return False
-    for a in range(f.algebra.size):
-        for b in range(f.algebra.size):
-            if r[f.algebra.op(a, b)] != g.algebra.op(r[a], r[b]):
-                return False
-    for a in range(f.algebra.size):
-        for m in range(f.carrier):
-            if big_r[f.transform(a, m)] != g.transform(r[a], big_r[m]):
-                return False
+    for x in f.algebra.generators:
+        rx = r[x]
+        if any(r[row[x]] != target[r[a]][rx] for a, row in enumerate(source)):
+            return False
+        psi = g.action[rx]
+        if [big_r[m] for m in f.action[x]] != [psi[v] for v in big_r]:
+            return False
     return True
 
 
@@ -207,8 +267,8 @@ def compose_morphisms(first, second):
     return RepMorphism(
         first.source,
         second.target,
-        tuple(second.algebra_map[v] for v in first.algebra_map),
-        tuple(second.carrier_map[v] for v in first.carrier_map),
+        tuple([second.algebra_map[v] for v in first.algebra_map]),
+        tuple([second.carrier_map[v] for v in first.carrier_map]),
     )
 
 
@@ -245,7 +305,7 @@ def _partition_by_image(values, size):
     for ci, members in enumerate(classes):
         for x in members:
             index_of[x] = ci
-    return tuple(tuple(m) for m in classes), tuple(index_of)
+    return tuple([tuple(m) for m in classes]), tuple(index_of)
 
 
 @dataclass(frozen=True)
@@ -292,32 +352,31 @@ def _induced(rep, algebra_points, carrier_points, algebra_label, carrier_label):
     each resulting element and point replaced by its label.  The quotient
     takes one representative per class labelled by its class, the image the
     image points labelled by their position."""
+    table, action = rep.algebra.table, rep.action
     return FiniteRepresentation(
         FiniteMonoid(
-            tuple(
-                tuple(algebra_label[rep.algebra.op(a, b)] for b in algebra_points)
-                for a in algebra_points
-            ),
+            [[algebra_label[table[a][b]] for b in algebra_points] for a in algebra_points],
             algebra_label[rep.algebra.unit],
         ),
         len(carrier_points),
-        tuple(
-            tuple(carrier_label[rep.transform(a, m)] for m in carrier_points)
-            for a in algebra_points
-        ),
+        [[carrier_label[action[a][m]] for m in carrier_points] for a in algebra_points],
     )
 
 
 def decompose_morphism(morphism):
     """Factor a valid morphism through its kernel congruence and image.
 
-    The quotient action ``F(j(a))(J(m)) = J(f(a)m)`` is checked to be well
-    defined over entire classes before it is built
+    Raises :class:`InvalidRepresentationError` when the source or the target
+    is not a representation and :class:`InvalidMorphismError` when the maps
+    break the morphism laws.  The quotient action ``F(j(a))(J(m)) = J(f(a)m)``
+    is checked to be well defined over entire classes before it is built
     (:class:`IllDefinedQuotientError` guards the impossible failure).
     """
-    if not check_morphism(morphism):
-        raise InvalidMorphismError("cannot decompose an invalid morphism")
     f, g = morphism.source, morphism.target
+    if not (validate_representation(f) and validate_representation(g)):
+        raise InvalidRepresentationError("cannot decompose a morphism of non-representations")
+    if not _preserves_structure(morphism):
+        raise InvalidMorphismError("cannot decompose an invalid morphism")
     r, big_r = morphism.algebra_map, morphism.carrier_map
 
     algebra_classes, j = _partition_by_image(r, f.algebra.size)
@@ -341,8 +400,8 @@ def decompose_morphism(morphism):
     carrier_index = {v: idx for idx, v in enumerate(carrier_inclusion)}
     image = _induced(g, algebra_inclusion, carrier_inclusion, algebra_index, carrier_index)
 
-    algebra_bijection = tuple(algebra_index[r[ca[0]]] for ca in algebra_classes)
-    carrier_bijection = tuple(carrier_index[big_r[cm[0]]] for cm in carrier_classes)
+    algebra_bijection = tuple([algebra_index[r[ca[0]]] for ca in algebra_classes])
+    carrier_bijection = tuple([carrier_index[big_r[cm[0]]] for cm in carrier_classes])
 
     return MorphismDecomposition(
         quotient=quotient,
@@ -367,7 +426,7 @@ def reduced_action(decomposition, morphism):
     return FiniteRepresentation(
         morphism.source.algebra,
         quotient.carrier,
-        tuple(quotient.action[j[a]] for a in range(morphism.source.algebra.size)),
+        [quotient.action[j[a]] for a in range(morphism.source.algebra.size)],
     )
 
 
@@ -438,10 +497,13 @@ def _json_index(value, what):
 def _json_index_list(value, what):
     if not isinstance(value, list):
         raise ValueError(f"{what} must be a list of integers")
-    return tuple(_json_index(v, f"{what} entry") for v in value)
+    if all(type(v) is int for v in value):
+        return tuple(value)
+    # the entry-by-entry check names the first bad entry
+    return tuple([_json_index(v, f"{what} entry") for v in value])
 
 
 def _json_index_rows(value, what):
     if not isinstance(value, list):
         raise ValueError(f"{what} must be a list of lists of integers")
-    return tuple(_json_index_list(row, what) for row in value)
+    return tuple([_json_index_list(row, what) for row in value])

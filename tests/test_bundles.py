@@ -116,7 +116,7 @@ def test_lift_requires_shared_base():
                 FiberedLinearMap(BASE3, [identity(2)] * 3),
             ),
             BaseMismatchError,
-            "section and map live over different bases",
+            "sections live over different bases",
         ),
         (
             lambda: compose_fibered_maps(
@@ -124,7 +124,7 @@ def test_lift_requires_shared_base():
                 FiberedLinearMap(BASE3, [identity(2)] * 3),
             ),
             BaseMismatchError,
-            "maps live over different bases",
+            "sections live over different bases",
         ),
     ],
     ids=["lift-nothing", "non-bijective-fiber-map", "exhaustive-needs-dicts", "json-int",

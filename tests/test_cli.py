@@ -4,6 +4,7 @@ import json
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -247,6 +248,18 @@ def test_repr_decompose_rejects_invalid(monkeypatch):
     assert err.strip() == "error: invalid-morphism"
 
 
+def test_repr_decompose_rejects_a_non_representation(monkeypatch):
+    # the swap group of order 2 acting by [[0, 1], [0, 0]]: the generator
+    # squares to the unit but its action does not compose to the identity
+    rep = {"algebra": {"size": 2, "table": [[0, 1], [1, 0]], "unit": 0},
+           "carrier": 2, "action": [[0, 1], [0, 0]]}
+    instance = {"f": rep, "g": rep, "morphism": {"r": [0, 1], "R": [0, 1]}}
+    status, out, err = invoke(
+        ["repr-decompose"], stdin_text=json.dumps(instance), monkeypatch=monkeypatch
+    )
+    assert (status, out, err) == (1, "", "error: invalid-representation\n")
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -326,6 +339,111 @@ def test_help_exits_zero(capsys):
     assert (status, err) == (0, "")
     assert out.startswith("usage: skewlin")
     assert capsys.readouterr() == ("", "")
+
+
+class _WatchedOut(io.StringIO):
+    """Records whether ``sys.stdout`` was this stream at any write."""
+
+    def __init__(self):
+        super().__init__()
+        self.was_stdout = False
+
+    def write(self, text):
+        self.was_stdout |= sys.stdout is self
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv,status", [(["--help"], 0), (["rank", "--help"], 0),
+                                         (["rank", EXAMPLE_TEXT], 0), (["nonsense"], 2)])
+def test_run_leaves_sys_stdout_alone(argv, status):
+    before = sys.stdout
+    out = _WatchedOut()
+    assert run(argv, out=out, err=io.StringIO()) == status
+    assert sys.stdout is before
+    assert not out.was_stdout
+
+
+def test_file_lists_are_not_shared_between_calls(tmp_path):
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    first.write_text("[1, 0; 0, 1]", encoding="utf-8")
+    second.write_text("[1, 1; 1, 1]", encoding="utf-8")
+    assert invoke(["rank", "--file", str(first)]) == (
+        0, "rank: 2\nminor rows: 1,2\nminor cols: 1,2\n", "")
+    assert invoke(["rank", "--file", str(second)]) == (
+        0, "rank: 1\nminor rows: 1\nminor cols: 1\n", "")
+    assert invoke(["mul", "--file", str(first), "--file", str(second)]) == (
+        0, "[1, 1; 1, 1]\n", "")
+    assert invoke(["rank", "--file", str(first)])[0] == 0
+
+
+def _join_all(threads):
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def test_concurrent_runs_match_serial_runs(tmp_path):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(_decompose_instance()), encoding="utf-8")
+    requests = [
+        ["rank", EXAMPLE_TEXT], ["rank", "--kind", "cr", "--format", "json", EXAMPLE_TEXT],
+        ["inv", "[k, 0; 0, j]"], ["inv", EXAMPLE_TEXT], ["qdet", "--pos", "1,1", EXAMPLE_TEXT],
+        ["mul", "[i]", "[j]"], ["solve", EXAMPLE_TEXT, "--rhs", "[1, 0]"],
+        ["repr-decompose", "--file", str(path)], ["--help"], ["rank", "--help"],
+        ["rank", "--kind", "x"], ["nonsense"], ["demo", "paper-example"],
+    ]
+    expected = [invoke(argv) for argv in requests]
+    results = {}
+
+    def client(index):
+        for round_ in range(10):
+            for k in range(len(requests)):
+                position = (k + index + round_) % len(requests)
+                results[index, round_, position] = invoke(requests[position])
+
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=client, args=(i,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        _join_all(threads)
+    finally:
+        sys.setswitchinterval(saved)
+    assert len(results) == 6 * 10 * len(requests)
+    for (_, _, position), result in results.items():
+        assert result == expected[position]
+
+
+def test_printing_thread_never_reaches_out():
+    marker = "printed by another thread"
+    stop = threading.Event()
+    printed = []
+
+    def printer():
+        while not stop.is_set():
+            print(marker)
+            printed.append(1)
+
+    captured = io.StringIO()
+    outputs = []
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with contextlib.redirect_stdout(captured):
+            thread = threading.Thread(target=printer)
+            thread.start()
+            try:
+                for argv in [["rank", EXAMPLE_TEXT], ["--help"]] * 150:
+                    outputs.append(invoke(argv)[1])
+            finally:
+                stop.set()
+                _join_all([thread])
+    finally:
+        sys.setswitchinterval(saved)
+    assert printed
+    assert not any(marker in out for out in outputs)
+    assert captured.getvalue() == f"{marker}\n" * len(printed)
 
 
 VOCABULARY = [

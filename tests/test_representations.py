@@ -4,6 +4,7 @@ from skewlin import (
     FiniteMonoid,
     FiniteRepresentation,
     InvalidMorphismError,
+    InvalidRepresentationError,
     RepMorphism,
     check_morphism,
     classify,
@@ -198,6 +199,17 @@ def test_decompose_rejects_invalid_morphism():
         decompose_morphism(bad)
 
 
+def test_morphism_of_non_representations_is_rejected():
+    # the unit acts as the identity, but the generator's action [0, 0] does
+    # not square to it; r and R are identities, so only the ends are wrong
+    broken = FiniteRepresentation(cyclic_monoid(2), 2, ((0, 1), (0, 0)))
+    for source, target in ((broken, broken), (broken, C2_SWAP), (C2_SWAP, broken)):
+        morphism = RepMorphism(source, target, (0, 1), (0, 1))
+        assert not check_morphism(morphism)
+        with pytest.raises(InvalidRepresentationError):
+            decompose_morphism(morphism)
+
+
 def test_reduced_action_has_same_transformations():
     morphism = cyclic_morphism(6, 3, 1, 0)
     d = decompose_morphism(morphism)
@@ -236,3 +248,29 @@ def test_json_roundtrip():
     assert data == {"r": [0, 1, 0, 1], "R": [1, 0, 1, 0]}
     rebuilt = morphism_from_json(data, m.source, m.target)
     assert rebuilt == m
+
+
+@pytest.mark.parametrize(
+    "path,value,message",
+    [
+        (("algebra", "table", 1, 0), True, "algebra table entry must be an integer, got True"),
+        (("algebra", "table", 0, 1), 1.0, "algebra table entry must be an integer, got 1.0"),
+        (("algebra", "table", 1), 5, "algebra table must be a list of integers"),
+        (("algebra", "table"), {}, "algebra table must be a list of lists of integers"),
+        (("action", 0, 1), False, "action entry must be an integer, got False"),
+        (("action", 1, 0), None, "action entry must be an integer, got None"),
+        (("action", 1), "ab", "action must be a list of integers"),
+    ],
+    ids=["bool", "float", "row-not-list", "table-not-list", "action-bool", "action-null",
+         "action-row-not-list"],
+)
+def test_json_index_rows_name_the_bad_entry(path, value, message):
+    data = representation_to_json(C2_SWAP)
+    *keys, last = path
+    node = data
+    for key in keys:
+        node = node[key]
+    node[last] = value
+    with pytest.raises(ValueError) as raised:
+        representation_from_json(data)
+    assert str(raised.value) == message
