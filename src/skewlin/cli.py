@@ -30,7 +30,7 @@ from .quasidet import (
     rc_inverse,
     rc_quasideterminant,
 )
-from .quaternion import format_quaternion
+from .quaternion import _lowest_terms, format_quaternion
 from .rank import cr_rank, rc_rank, solve_general
 from .representations import (
     decompose_morphism,
@@ -69,17 +69,8 @@ class _Parser(argparse.ArgumentParser):
         raise _HelpText(message)
 
 
-def _fraction_json(f):
-    return {"num": f.numerator, "den": f.denominator}
-
-
 def quaternion_json(q):
-    return {
-        "w": _fraction_json(q.w),
-        "x": _fraction_json(q.x),
-        "y": _fraction_json(q.y),
-        "z": _fraction_json(q.z),
-    }
+    return {c: {"num": n, "den": d} for c, (n, d) in zip("wxyz", _lowest_terms(q))}
 
 
 def matrix_json(m):
@@ -162,11 +153,12 @@ def _parse_position(text):
     return int(parts[0]), int(parts[1])
 
 
-def _emit(out, args, text_value, json_value):
+def _emit(out, args, value, to_text, to_json):
+    """Print ``value`` in the requested form, building only that form."""
     if args.format == "json":
-        print(json.dumps(json_value, sort_keys=True), file=out)
+        print(json.dumps(to_json(value), sort_keys=True), file=out)
     else:
-        print(text_value, file=out)
+        print(to_text(value), file=out)
 
 
 def _run_qdet(args, out):
@@ -176,14 +168,22 @@ def _run_qdet(args, out):
     value = qdet(matrix, p, r)
     if value is None:
         raise MathError("undefined")
-    _emit(out, args, format_quaternion(value), quaternion_json(value))
+    _emit(out, args, value, format_quaternion, quaternion_json)
 
 
 def _run_inv(args, out):
     (matrix,) = _gather_matrices(args)
     invert = rc_inverse if args.kind == "rc" else cr_inverse
     result = invert(matrix)
-    _emit(out, args, format_matrix(result), matrix_json(result))
+    _emit(out, args, result, format_matrix, matrix_json)
+
+
+def _rank_text(report):
+    if report.minor is None:
+        return f"rank: {report.rank}\nminor: absent"
+    rows = ",".join(map(str, report.minor.rows))
+    cols = ",".join(map(str, report.minor.cols))
+    return f"rank: {report.rank}\nminor rows: {rows}\nminor cols: {cols}"
 
 
 def _rank_json(report):
@@ -197,42 +197,39 @@ def _rank_json(report):
 def _run_rank(args, out):
     (matrix,) = _gather_matrices(args)
     report = (rc_rank if args.kind == "rc" else cr_rank)(matrix)
-    if report.minor is None:
-        text = f"rank: {report.rank}\nminor: absent"
-    else:
-        rows = ",".join(str(i) for i in report.minor.rows)
-        cols = ",".join(str(j) for j in report.minor.cols)
-        text = f"rank: {report.rank}\nminor rows: {rows}\nminor cols: {cols}"
-    _emit(out, args, text, _rank_json(report))
+    _emit(out, args, report, _rank_text, _rank_json)
 
 
 def _run_mul(args, out):
     a, b = _gather_matrices(args)
     product = rc_product if args.kind == "rc" else cr_product
     result = product(a, b)
-    _emit(out, args, format_matrix(result), matrix_json(result))
+    _emit(out, args, result, format_matrix, matrix_json)
+
+
+def _solution_text(solution):
+    lines = [f"consistent: {'yes' if solution.consistent else 'no'}"]
+    if solution.particular is not None:
+        lines.append(f"particular: {format_matrix(solution.particular)}")
+    lines.append(f"free variables: {','.join(map(str, solution.free_variables)) or '-'}")
+    lines.extend(f"basis: {format_matrix(row)}" for row in solution.homogeneous_basis)
+    return "\n".join(lines)
+
+
+def _solution_json(solution):
+    particular = solution.particular
+    return {
+        "consistent": solution.consistent,
+        "particular": None if particular is None else matrix_json(particular),
+        "free_variables": list(solution.free_variables),
+        "basis": [matrix_json(row) for row in solution.homogeneous_basis],
+    }
 
 
 def _run_solve(args, out):
     (matrix,) = _gather_matrices(args)
-    rhs = parse_matrix(args.rhs)
-    solution = solve_general(matrix, rhs)
-    lines = [f"consistent: {'yes' if solution.consistent else 'no'}"]
-    if solution.particular is not None:
-        lines.append(f"particular: {format_matrix(solution.particular)}")
-    free = ",".join(str(i) for i in solution.free_variables) or "-"
-    lines.append(f"free variables: {free}")
-    for row in solution.homogeneous_basis:
-        lines.append(f"basis: {format_matrix(row)}")
-    payload = {
-        "consistent": solution.consistent,
-        "particular": matrix_json(solution.particular)
-        if solution.particular is not None
-        else None,
-        "free_variables": list(solution.free_variables),
-        "basis": [matrix_json(row) for row in solution.homogeneous_basis],
-    }
-    _emit(out, args, "\n".join(lines), payload)
+    solution = solve_general(matrix, parse_matrix(args.rhs))
+    _emit(out, args, solution, _solution_text, _solution_json)
     if not solution.consistent:
         raise MathError("inconsistent")
 

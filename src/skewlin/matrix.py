@@ -23,7 +23,7 @@ underlying calculus; raw ``matrix[i, j]`` access is plain 0-based Python.
 from dataclasses import dataclass
 from itertools import chain, repeat
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ParseError
 from .quaternion import Quaternion, _dot, format_quaternion, parse_quaternion
 
 
@@ -258,8 +258,6 @@ def parse_matrix(text):
     """
     stripped = text.strip()
     if not (stripped.startswith("[") and stripped.endswith("]")):
-        from .errors import ParseError
-
         raise ParseError("matrix text must be enclosed in [ ]", 0)
     body = stripped[1:-1].strip()
     if not body:

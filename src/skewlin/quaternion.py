@@ -28,6 +28,10 @@ over the denominator of ``l*y`` whenever that of ``x`` divides it, or over
 the denominator of ``y`` alone when ``x`` and ``l`` share a denominator that
 divides out exactly.  The tuple layout is private: the components are
 exposed as :class:`fractions.Fraction` values.
+
+Text and JSON read and write the tuple directly: the parser sums the terms
+over the lcm of their denominators and normalizes once, and the formatter and
+the CLI's JSON reduce each component with one gcd (:func:`_lowest_terms`).
 """
 
 from fractions import Fraction
@@ -35,7 +39,7 @@ from math import gcd, lcm
 
 from .errors import ParseError
 
-_UNITS = ("i", "j", "k")
+_SLOTS = {"i": 1, "j": 2, "k": 3}
 
 
 def _as_fraction(value):
@@ -304,27 +308,24 @@ J = Quaternion(0, 0, 1, 0)
 K = Quaternion(0, 0, 0, 1)
 
 
+def _lowest_terms(q):
+    """The components ``w, x, y, z`` of ``q`` as ``(numerator, denominator)``
+    pairs in lowest terms, each denominator positive."""
+    den = q[4]
+    return [(n // (g := gcd(n, den)), den // g) for n in q[:4]]
+
+
 def format_quaternion(q):
     """Canonical text form: lowest terms, components in w,x,y,z order, zero
     terms omitted, ``0`` for the zero quaternion."""
-    parts = []
-    for coeff, unit in ((q.w, ""), (q.x, "i"), (q.y, "j"), (q.z, "k")):
-        if coeff == 0:
-            continue
-        magnitude = -coeff if coeff < 0 else coeff
-        if unit and magnitude == 1:
-            body = unit
-        else:
-            body = f"{magnitude}{unit}"
-        sign = "-" if coeff < 0 else "+"
-        parts.append((sign, body))
-    if not parts:
-        return "0"
-    first_sign, first_body = parts[0]
-    text = (first_sign if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += sign + body
-    return text
+    text = ""
+    for (num, den), unit in zip(_lowest_terms(q), ("", "i", "j", "k")):
+        if num:
+            body = f"{abs(num)}" if den == 1 else f"{abs(num)}/{den}"
+            if unit and body == "1":
+                body = ""  # a unit's coefficient 1 is implied
+            text += ("-" if num < 0 else "+") + body + unit
+    return text.removeprefix("+") or "0"
 
 
 class _Scanner:
@@ -373,7 +374,9 @@ def parse_quaternion(text):
     s = _Scanner(text)
     if s.done():
         raise ParseError("empty quaternion", s.pos)
-    total = Quaternion.zero()
+    # the four numerators over the lcm of the term denominators so far
+    numerators = [0, 0, 0, 0]
+    den = 1
     first = True
     while True:
         negative = False
@@ -381,41 +384,37 @@ def parse_quaternion(text):
             negative = s.take() == "-"
         elif not first:
             raise ParseError(f"expected '+' or '-', got {s.peek()!r}", s.pos)
-        total = total + _parse_term(s, negative)
+        slot, num, term_den = _parse_term(s)
+        if den % term_den:
+            up = term_den // gcd(den, term_den)
+            numerators = [n * up for n in numerators]
+            den *= up
+        numerators[slot] += (den // term_den) * (-num if negative else num)
         first = False
         if s.done():
-            return total
+            return _build(*numerators, den)
 
 
-def _parse_term(s, negative):
+def _parse_term(s):
+    """One unsigned term as ``(slot, numerator, denominator)``, the slot
+    indexing the components w, x, y, z."""
     if s.done():
         raise ParseError("expected term", s.pos)
     ch = s.peek()
-    if ch in _UNITS:
+    if ch in _SLOTS:
         s.take()
-        coeff = Fraction(1)
-        unit = ch
-    elif "0" <= ch <= "9":
-        numerator = s.take_integer()
-        denominator = 1
-        if s.peek() == "/":
-            slash_pos = s.pos
-            s.take()
-            denominator = s.take_integer()
-            if denominator == 0:
-                raise ParseError("denominator must be positive", slash_pos + 1)
-        coeff = Fraction(numerator, denominator)
-        unit = ""
-        if s.peek() in _UNITS:
-            unit = s.take()
-    else:
+        return _SLOTS[ch], 1, 1
+    if not "0" <= ch <= "9":
         raise ParseError(f"expected term, got {ch!r}", s.pos)
-    if negative:
-        coeff = -coeff
-    if unit == "i":
-        return Quaternion(0, coeff, 0, 0)
-    if unit == "j":
-        return Quaternion(0, 0, coeff, 0)
-    if unit == "k":
-        return Quaternion(0, 0, 0, coeff)
-    return Quaternion(coeff, 0, 0, 0)
+    numerator = s.take_integer()
+    denominator = 1
+    if s.peek() == "/":
+        slash_pos = s.pos
+        s.take()
+        denominator = s.take_integer()
+        if denominator == 0:
+            raise ParseError("denominator must be positive", slash_pos + 1)
+    slot = _SLOTS.get(s.peek(), 0)
+    if slot:
+        s.take()
+    return slot, numerator, denominator

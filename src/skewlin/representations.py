@@ -49,7 +49,7 @@ class FiniteMonoid:
         n = len(table)
         if any(len(row) != n for row in table):
             raise ValueError("multiplication table must be square")
-        if any(not 0 <= v < n for row in table for v in row):
+        if n and (min(map(min, table)) < 0 or max(map(max, table)) >= n):
             raise ValueError("table entries must index elements")
         if not 0 <= self.unit < n:
             raise ValueError("unit must index an element")
@@ -138,7 +138,7 @@ class FiniteRepresentation:
         if len(action) != self.algebra.size:
             raise ValueError("need one transformation per algebra element")
         for m in action:
-            if len(m) != self.carrier or any(not 0 <= v < self.carrier for v in m):
+            if len(m) != self.carrier or (m and (min(m) < 0 or max(m) >= self.carrier)):
                 raise ValueError("transformations must be total maps of the carrier")
 
     def transform(self, a, m):
@@ -382,10 +382,14 @@ def decompose_morphism(morphism):
     algebra_classes, j = _partition_by_image(r, f.algebra.size)
     carrier_classes, big_j = _partition_by_image(big_r, f.carrier)
 
-    # The action must be constant on classes in both arguments at once.
+    # The action must be constant on classes in both arguments at once.  Each
+    # row is projected onto the carrier classes once, and the equal projected
+    # rows of an algebra class are read once.
+    projected = [tuple(map(big_j.__getitem__, row)) for row in f.action]
     for members_a in algebra_classes:
+        rows = {projected[a] for a in members_a}
         for members_m in carrier_classes:
-            images = {big_j[f.transform(a, m)] for a in members_a for m in members_m}
+            images = {row[m] for row in rows for m in members_m}
             if len(images) != 1:
                 raise IllDefinedQuotientError(
                     f"classes {members_a} x {members_m} scatter across {sorted(images)}"
@@ -497,7 +501,7 @@ def _json_index(value, what):
 def _json_index_list(value, what):
     if not isinstance(value, list):
         raise ValueError(f"{what} must be a list of integers")
-    if all(type(v) is int for v in value):
+    if {int}.issuperset(map(type, value)):
         return tuple(value)
     # the entry-by-entry check names the first bad entry
     return tuple([_json_index(v, f"{what} entry") for v in value])

@@ -290,14 +290,20 @@ def test_repr_decompose_mistyped_json_is_input_error(monkeypatch, text):
         (("f", "algebra", "size"), 5, "declared algebra size does not match the table"),
         (("f", "algebra", "table"), [[0, 1]] * 4, "multiplication table must be square"),
         (("f", "algebra", "table", 0, 0), 4, "table entries must index elements"),
+        (("f", "algebra", "table", 0, 0), -1, "table entries must index elements"),
+        (("f", "algebra", "table", 3, 2), -1, "table entries must index elements"),
         (("f", "algebra", "unit"), 4, "unit must index an element"),
         (("f", "action"), [[0, 1, 2, 3]] * 3, "need one transformation per algebra element"),
         (("f", "action", 0, 0), 4, "transformations must be total maps of the carrier"),
+        (("f", "action", 0, 0), -1, "transformations must be total maps of the carrier"),
+        (("f", "action", 3, 1), -1, "transformations must be total maps of the carrier"),
         (("morphism", "r", 3), 2, "algebra map must be total into the target algebra"),
         (("morphism", "R", 3), 2, "carrier map must be total into the target carrier"),
     ],
-    ids=["algebra-size", "table-square", "table-entry", "unit", "action-count",
-         "action-entry", "algebra-map", "carrier-map"],
+    ids=["algebra-size", "table-square", "table-entry", "table-entry-negative",
+         "table-entry-negative-last-row", "unit", "action-count", "action-entry",
+         "action-entry-negative", "action-entry-negative-last-row", "algebra-map",
+         "carrier-map"],
 )
 def test_repr_decompose_out_of_range_is_input_error(monkeypatch, path, value, message):
     instance = _decompose_instance()
