@@ -49,6 +49,7 @@ from .quasidet import (
     rc_inverse,
     rc_inverse_via_quasidet,
     rc_quasideterminant,
+    solve_nonsingular,
 )
 from .quaternion import (
     I,
@@ -69,7 +70,6 @@ from .rank import (
     rc_singular_family,
     row_dependence,
     solve_general,
-    solve_nonsingular,
 )
 from .representations import (
     FiniteMonoid,

@@ -9,6 +9,7 @@ independent of each other.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import BaseMismatchError, DimensionMismatch
 from .matrix import Matrix, format_matrix, parse_matrix, rc_product
@@ -30,7 +31,7 @@ class Base:
             raise ValueError("base labels must be distinct")
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, init=False)
 class Section:
     """A total assignment of one fiber value per base point."""
 
@@ -97,7 +98,7 @@ def scalar_action(scalars, vectors):
     return lift_operation(lambda s, m: m.scale_left(s), scalars, vectors)
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+@dataclass(frozen=True, init=False, eq=False)
 class FiberedLinearMap:
     """One presentation matrix per point, all of the same shape.  Compares by
     identity."""
@@ -177,8 +178,6 @@ def check_transition(phi_a, phi_b, operations, samples=None):
     fibers; otherwise ``samples`` must supply fiber elements and all tuples
     drawn from them are checked.  Returns False at the first violation.
     """
-    from itertools import product
-
     base = _require_shared_base([phi_a, phi_b])
     for point in base.points:
         fa, fb = phi_a[point], phi_b[point]

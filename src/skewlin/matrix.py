@@ -27,7 +27,7 @@ from .errors import DimensionMismatch, ParseError
 from .quaternion import Quaternion, _dot, format_quaternion, parse_quaternion
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, init=False)
 class Matrix:
     """Immutable rectangular matrix of :class:`Quaternion` entries.
 
@@ -140,9 +140,6 @@ class Matrix:
             return NotImplemented
         return self.scale_left(s)
 
-    def __matmul__(self, other):
-        return rc_product(self, other)
-
     def is_zero(self):
         return all(a.is_zero() for row in self.cells for a in row)
 
@@ -210,14 +207,11 @@ def rc_product(a, b):
 
 def cr_product(a, b):
     """Column-times-row product: for ``a`` of shape n x p and ``b`` of shape
-    m x n, ``result[i][j] = sum_k a[k][j] * b[i][k]``.  Equal to
-    ``rc_product(a.T, b.T).T`` (the duality functor image of ``rc_product``)."""
+    m x n, ``result[i][j] = sum_k a[k][j] * b[i][k]``.  Computed as its
+    duality functor image ``rc_product(a.T, b.T).T``."""
     if a.rows != b.cols:
         raise DimensionMismatch(f"cr product needs {b.shape} x {a.shape} outer match")
-    if a.rows == 0 or b.rows == 0 or a.cols == 0:
-        return Matrix.zeros(b.rows, a.cols)
-    columns = list(zip(*a.cells))
-    return Matrix([[_dot(col, row) for col in columns] for row in b.cells])
+    return rc_product(a.transpose(), b.transpose()).transpose()
 
 
 def transpose(a):

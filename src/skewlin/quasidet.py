@@ -3,8 +3,9 @@
 One forward elimination pass with left row operations decides every
 singular/nonsingular question in the library.  :func:`_eliminate_rows` reduces
 each row, in order, against the echelon rows kept so far and keeps it when a
-nonzero remains.  It records the multipliers it applied and the inverse of
-each new pivot, so the kept rows factor as ``L * E``: ``E`` holds the echelon
+nonzero remains; it stops once every column holds a pivot, since every later
+row is then dependent.  It records the multipliers it applied and the inverse
+of each new pivot, so the kept rows factor as ``L * E``: ``E`` holds the echelon
 rows, scaled to a one at their pivots, and ``L`` is lower triangular with the
 multipliers below its diagonal and the pivots on it.  These are the
 multipliers and pivots of Gauss (LDU) elimination, which over a skew field
@@ -16,11 +17,12 @@ are quasideterminants (Gelfand, Gelfand, Retakh and Wilson,
 against the echelon rows writes it as ``z * E`` (or leaves a nonzero
 remainder, when ``b`` is outside the row span), and back substitution solves
 ``x * L == z``, one sum normalised once per unknown.  A square matrix
-is invertible exactly when the pass keeps every row, and its inverse solves
-``x * a == e`` for each unit row ``e`` with the same factors; it is
-automatically two-sided because one-sided inverses coincide in a matrix ring
-over a division ring.  ``rank`` builds rank, row dependence and the solvers
-on the same pass.
+is invertible exactly when the pass keeps every row.  :func:`solve_nonsingular`
+is the one nonsingular solve: it checks that, factors ``a`` once and solves
+``x * a == b`` for each row ``b``.  :func:`rc_inverse` is its solution for
+the identity, automatically two-sided because one-sided inverses coincide in
+a matrix ring over a division ring.  ``rank`` builds rank, row dependence and
+the general solver on the same pass.
 
 The quasideterminant at position ``(p, r)`` is the noncommutative analogue of
 a determinant cofactor ratio:
@@ -56,9 +58,9 @@ from .matrix import Matrix, rc_product
 from .quaternion import Quaternion, _dot, _sub_mul
 
 
-def _eliminate_rows(a, every_row):
+def _eliminate_rows(a):
     """One forward elimination pass over the rows of ``a``, in order, with
-    left row operations.
+    left row operations, stopping once every column holds a pivot.
 
     Returns ``(kept, echelon, scales, leads)``.  ``kept`` lists the 0-based
     rows that stayed independent of the rows before them; a kept row's
@@ -72,12 +74,13 @@ def _eliminate_rows(a, every_row):
     echelon row it met with a nonzero lead.  Row ``p`` is therefore
     ``sum(lambda * E_t) + pi * E_p`` (no last term when it was not kept):
     the kept rows are ``L * E`` with ``L`` lower triangular in kept order.
-    Without ``every_row`` the pass stops once every column holds a pivot,
-    and ``leads`` covers only the rows it reached.
+    ``leads`` covers only the rows the pass reached; every later row is
+    dependent, and :func:`_reduce` against the final ``echelon`` gives its
+    multipliers.
     """
     kept, echelon, scales, leads = [], [], [], []
     for p, cells in enumerate(a.cells):
-        if not every_row and len(echelon) == a.cols:
+        if len(echelon) == a.cols:
             break
         entries = list(cells)
         leads.append(_reduce(entries, echelon))
@@ -169,35 +172,38 @@ def _solve_row(entries, factor):
     return _back_substitute(z, factor)
 
 
-def _nonsingular_factor(a):
-    """The factorisation of a full pass over ``a``, whose kept rows are then
-    all of ``a`` in order; raises :class:`DimensionMismatch` unless ``a`` is
-    square and :class:`SingularMatrixError` unless the pass keeps every
-    row."""
+def solve_nonsingular(a, b):
+    """Unique solution of ``x * a = b`` for square nonsingular ``a``, one
+    :func:`_solve_row` per row of ``b`` on the factors of one pass over
+    ``a``.  Raises, in this order, :class:`DimensionMismatch` for non-square
+    ``a``, :class:`SingularMatrixError` and :class:`DimensionMismatch` for a
+    ``b`` without ``a.rows`` columns."""
     if not a.is_square:
         raise DimensionMismatch(f"only square matrices invert, got {a.shape}")
-    kept, echelon, scales, leads = _eliminate_rows(a, every_row=True)
+    kept, echelon, scales, leads = _eliminate_rows(a)
     if len(kept) < a.rows:
         raise SingularMatrixError(f"matrix {a} is singular")
-    return _factor(kept, echelon, scales, leads)
+    factor = _factor(kept, echelon, scales, leads)
+    if b.cols != a.rows:
+        raise DimensionMismatch(f"rc product needs {b.shape} x {a.shape} inner match")
+    return Matrix([_solve_row(row, factor) for row in b.cells], cols=a.rows)
 
 
 def rc_inverse(a):
-    """Two-sided inverse under the row-times-column product.
+    """Two-sided inverse under the row-times-column product: the solution of
+    ``x * a = 1``.
 
     Raises :class:`SingularMatrixError` when no inverse exists and
     :class:`DimensionMismatch` for non-square input.
     """
-    factor = _nonsingular_factor(a)
-    unit_rows = Matrix.identity(a.rows).cells
-    return Matrix([_solve_row(e, factor) for e in unit_rows])
+    return solve_nonsingular(a, Matrix.identity(a.rows))
 
 
 def is_rc_nonsingular(a):
     """True when ``a`` is square and has a two-sided inverse."""
     if not a.is_square:
         return False
-    kept, _, _, _ = _eliminate_rows(a, every_row=False)
+    kept, _, _, _ = _eliminate_rows(a)
     return len(kept) == a.rows
 
 
@@ -217,7 +223,7 @@ def rc_quasideterminant(a, p, r):
     # column r moved last: the complement fills the first n - 1 columns
     cells = [row[:r - 1] + row[r:] + (row[r - 1],) for row in a.cells]
     target = list(cells.pop(p - 1))
-    _, echelon, _, _ = _eliminate_rows(Matrix(cells, cols=n), every_row=False)
+    _, echelon, _, _ = _eliminate_rows(Matrix(cells, cols=n))
     if [pivot for pivot, _, _ in echelon] != list(range(n - 1)):
         return None
     _reduce(target, echelon)
@@ -240,7 +246,7 @@ def _kernel_column(complement):
 
     normalised once by :func:`_dot`."""
     n = complement.cols
-    _, echelon, _, _ = _eliminate_rows(complement, every_row=False)
+    _, echelon, _, _ = _eliminate_rows(complement)
     if len(echelon) < n - 1:
         return None
     pivots = {pivot for pivot, _, _ in echelon}
@@ -277,8 +283,6 @@ def rc_inverse_via_quasidet(a):
     if not a.is_square:
         raise DimensionMismatch(f"only square matrices invert, got {a.shape}")
     n = a.rows
-    if n == 0:
-        return a
     zero = Quaternion.zero()
     cells = [[zero] * n for _ in range(n)]
     for p, row in enumerate(a.cells):
@@ -294,7 +298,7 @@ def rc_inverse_via_quasidet(a):
         s_inverse = s.inverse()
         for r in support:
             cells[r][p] = c[r] * s_inverse
-    candidate = Matrix(cells)
+    candidate = Matrix(cells, cols=n)
     if rc_product(a, candidate) != Matrix.identity(n):
         raise SingularMatrixError("no inverse: quasideterminant candidate fails round-trip")
     return candidate

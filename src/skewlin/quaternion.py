@@ -166,10 +166,6 @@ class Quaternion(tuple):
 
     # -- division-ring structure -----------------------------------------------
 
-    def conjugate(self):
-        nw, nx, ny, nz, den = self
-        return _new(Quaternion, (nw, -nx, -ny, -nz, den))
-
     def _squares(self):
         nw, nx, ny, nz, _ = self
         return nw * nw + nx * nx + ny * ny + nz * nz

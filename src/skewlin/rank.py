@@ -21,11 +21,18 @@ testing minors:
 The pass costs polynomial time, whatever the rank deficiency.  The tests
 keep the literal enumeration as the oracle for both readings.  The pass
 also records its multipliers, which factor the kept rows as ``L * E``
-(lower triangular times echelon).  Row dependence and both solvers reduce a
-row against ``E`` and back-substitute through ``L``
-(``quasidet._solve_row``); none of them forms an inverse.  A dependent row's
-homogeneous basis row is its unit row minus the back substitution of its own
-multipliers.
+(lower triangular times echelon).  The solvers reduce a row against ``E``
+and back-substitute through ``L`` (``quasidet._solve_row``); none of them
+forms an inverse:
+
+* :func:`solve_nonsingular` (from ``quasidet``) solves ``x * A = b`` for
+  square nonsingular ``A``;
+* :func:`row_dependence` is ``solve_nonsingular`` on the major minor, for
+  the row's entries on the minor's columns;
+* :func:`solve_general` solves ``x * A = b`` for any ``A``.  A dependent
+  row's homogeneous basis row is its unit row minus the back substitution
+  of its own multipliers.  The rows after the pass's stop are reduced
+  against the final echelon rows for theirs.
 
 All index sets are 1-based and refer to the matrix's own display grid.
 """
@@ -38,8 +45,9 @@ from .quasidet import (
     _back_substitute,
     _eliminate_rows,
     _factor,
-    _nonsingular_factor,
+    _reduce,
     _solve_row,
+    solve_nonsingular,
 )
 from .quaternion import Quaternion
 
@@ -61,10 +69,6 @@ class IndexSelection:
             if len(set(seq)) != len(seq) or any(type(i) is not int or i < 1 for i in seq):
                 raise ValueError(f"indices must be distinct 1-based naturals: {seq}")
 
-    @property
-    def order(self):
-        return len(self.rows)
-
 
 @dataclass(frozen=True)
 class RankReport:
@@ -74,7 +78,7 @@ class RankReport:
 
 def rc_rank(a):
     """Rank and major minor under the row-times-column product."""
-    kept, echelon, _, _ = _eliminate_rows(a, every_row=False)
+    kept, echelon, _, _ = _eliminate_rows(a)
     if not kept:
         return RankReport(0, None)
     rows = tuple(p + 1 for p in kept)
@@ -107,16 +111,7 @@ def row_dependence(a, report, p):
         raise InvalidRowError(f"row {p} belongs to the major minor {sel.rows}")
     core = a.minor(sel.rows, sel.cols)
     outside = [entries[t - 1] for t in sel.cols]
-    return Matrix.row(_solve_row(outside, _nonsingular_factor(core)))
-
-
-def solve_nonsingular(a, b):
-    """Unique solution of ``x * a = b`` for square nonsingular ``a``:
-    ``x = b * inverse(a)``.  Raises :class:`SingularMatrixError` otherwise."""
-    factor = _nonsingular_factor(a)
-    if b.cols != a.rows:
-        raise DimensionMismatch(f"rc product needs {b.shape} x {a.shape} inner match")
-    return Matrix([_solve_row(row, factor) for row in b.cells], cols=a.rows)
+    return solve_nonsingular(core, Matrix.row(outside))
 
 
 @dataclass(frozen=True)
@@ -149,7 +144,11 @@ def solve_general(a, b):
         raise DimensionMismatch(
             f"right-hand side must be 1 x {a.cols}, got {b.shape}"
         )
-    kept, echelon, scales, leads = _eliminate_rows(a, every_row=True)
+    kept, echelon, scales, leads = _eliminate_rows(a)
+    # the pass stops at a full set of pivots; every row after that point is
+    # dependent, and reducing it against the final echelon rows gives its
+    # multipliers
+    leads += [_reduce(list(row), echelon) for row in a.cells[len(leads):]]
     factor = _factor(kept, echelon, scales, leads)
     independent = set(kept)
     dependent = [p for p in range(a.rows) if p not in independent]

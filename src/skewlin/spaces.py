@@ -11,8 +11,8 @@ natively; the other three notational models are reached through ``dualize``
 from dataclasses import dataclass
 
 from .matrix import Matrix, rc_product
-from .quasidet import is_rc_nonsingular
-from .rank import rc_rank, solve_nonsingular
+from .quasidet import is_rc_nonsingular, solve_nonsingular
+from .rank import rc_rank
 
 
 @dataclass(frozen=True)
@@ -21,10 +21,6 @@ class BasisModel:
     coordinates of the a-th basis vector in the ambient space."""
 
     matrix: Matrix
-
-    @property
-    def dimension(self):
-        return self.matrix.rows
 
     def is_valid(self):
         """Rows independent; for a square matrix this means nonsingular."""

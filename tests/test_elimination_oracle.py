@@ -527,6 +527,21 @@ def _check_half_rank(rng, n, digits):
         lib.solve_nonsingular(a, Matrix.row(a.row_entries(1)))
 
 
+def _check_full_column_rank(rng, n):
+    # 2n x n of rank n: n fresh rows, then n left combinations of them.  The
+    # elimination pass holds a pivot in every column halfway down and stops,
+    # so solve_general reduces the later rows itself.  Every row is in the
+    # row span of a full-column-rank matrix: each right-hand side is
+    # consistent.
+    fresh = [[_entry(rng, None) for _ in range(n)] for _ in range(n)]
+    a = Matrix(fresh + [_left_combination(rng, fresh) for _ in range(n)], cols=n)
+    first = tuple(range(1, n + 1))
+    assert lib.rc_rank(a) == RankReport(n, IndexSelection(first, first))
+    _check_general_solution(a, Matrix.row(_left_combination(rng, a.cells)), True)
+    _check_general_solution(a, Matrix.row([_entry(rng, None) for _ in range(n)]), True)
+    assert lib.cr_rank(a.transpose()) == RankReport(n, IndexSelection(first, first))
+
+
 @pytest.mark.parametrize("n", range(6, 13))
 def test_back_substitution_above_oracle_sizes(n):
     rng = random.Random(600 + n)
@@ -537,6 +552,7 @@ def test_back_substitution_above_oracle_sizes(n):
     assert schoolbook_product(lib.solve_nonsingular(a, b), a) == b
     _check_general_solution(a, Matrix.row(b.row_entries(1)), True)
     _check_half_rank(rng, n, None)
+    _check_full_column_rank(rng, n)
 
 
 @pytest.mark.parametrize("n", range(6, 13))
