@@ -197,13 +197,16 @@ def check_transition(phi_a, phi_b, operations, samples=None):
 
 # -- JSON wire format -----------------------------------------------------------
 #
-# {"base": [labels], "values": {label: entity}} with entities in the
-# quaternion / matrix text grammars (matrix iff the text starts with "[").
+# {"base": [labels], "values": {label: entity}} with string labels, since
+# JSON object keys are strings, and entities in the quaternion / matrix text
+# grammars (matrix iff the text starts with "[").
 
 
 def section_to_json(section):
     values = {}
     for point, value in section.items():
+        if not isinstance(point, str):
+            raise TypeError(f"cannot serialize base label {point!r}: labels must be str")
         if isinstance(value, Matrix):
             values[point] = format_matrix(value)
         elif isinstance(value, Quaternion):
@@ -214,9 +217,18 @@ def section_to_json(section):
 
 
 def section_from_json(data):
-    base = Base(tuple(data["base"]))
+    """Decode the wire format; raises ValueError when a field has the wrong
+    JSON type and KeyError when one is missing."""
+    if not isinstance(data, dict):
+        raise ValueError("section must be a JSON object")
+    labels, texts = data["base"], data["values"]
+    if not isinstance(labels, list) or not all(isinstance(p, str) for p in labels):
+        raise ValueError("section base must be a JSON array of strings")
+    if not isinstance(texts, dict) or not all(isinstance(t, str) for t in texts.values()):
+        raise ValueError("section values must be a JSON object of strings")
+    base = Base(tuple(labels))
     values = {
         point: parse_matrix(text) if text.lstrip().startswith("[") else parse_quaternion(text)
-        for point, text in data["values"].items()
+        for point, text in texts.items()
     }
     return Section(base, values)

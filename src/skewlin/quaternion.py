@@ -29,17 +29,21 @@ the denominator of ``y`` alone when ``x`` and ``l`` share a denominator that
 divides out exactly.  The tuple layout is private: the components are
 exposed as :class:`fractions.Fraction` values.
 
-Text and JSON read and write the tuple directly: the parser sums the terms
-over the lcm of their denominators and normalizes once, and the formatter and
-the CLI's JSON reduce each component with one gcd (:func:`_lowest_terms`).
+Text and JSON read and write the tuple directly.  The parser matches one
+compiled pattern per signed term (``_TERM``), tells every malformed input
+apart by the groups the match left empty, sums the terms over the lcm of their
+denominators and normalizes once; decimal text becomes integers only there.
+The formatter and the CLI's JSON reduce each component with one gcd
+(:func:`_lowest_terms`).
 """
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ParseError
 
-_SLOTS = {"i": 1, "j": 2, "k": 3}
+_SLOTS = {"": 0, "i": 1, "j": 2, "k": 3}
 
 
 def _as_fraction(value):
@@ -324,39 +328,10 @@ def format_quaternion(q):
     return text.removeprefix("+") or "0"
 
 
-class _Scanner:
-    """Single-pass scanner for the quaternion grammar; whitespace ignored."""
-
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self._skip_ws()
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def done(self):
-        return self.pos >= len(self.text)
-
-    def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self):
-        ch = self.text[self.pos]
-        self.pos += 1
-        self._skip_ws()
-        return ch
-
-    def take_integer(self):
-        start = self.pos
-        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected digits", start)
-        digits = self.text[start:self.pos]
-        self._skip_ws()
-        return int(digits)
+# One signed term.  Every group is optional, so a match never fails: a
+# malformed term is told apart by the groups it leaves empty.  ``[0-9]``, not
+# ``\d``, keeps other scripts' digits out; ``\s`` is ``str.isspace``.
+_TERM = re.compile(r"([+-]?)\s*(?:([0-9]+)\s*(?:(/)\s*([0-9]*)\s*)?)?([ijk]?)\s*")
 
 
 def parse_quaternion(text):
@@ -367,50 +342,36 @@ def parse_quaternion(text):
     quaternion ``q``.  Raises :class:`ParseError` with the offending position
     on malformed input.
     """
-    s = _Scanner(text)
-    if s.done():
-        raise ParseError("empty quaternion", s.pos)
+    end = len(text)
+    pos = start = end - len(text.lstrip())
+    if pos == end:
+        raise ParseError("empty quaternion", pos)
     # the four numerators over the lcm of the term denominators so far
     numerators = [0, 0, 0, 0]
     den = 1
-    first = True
-    while True:
-        negative = False
-        if s.peek() in "+-":
-            negative = s.take() == "-"
-        elif not first:
-            raise ParseError(f"expected '+' or '-', got {s.peek()!r}", s.pos)
-        slot, num, term_den = _parse_term(s)
+    while pos < end:
+        m = _TERM.match(text, pos)
+        sign, digits, slash, den_digits, unit = m.groups()
+        if not sign and pos != start:
+            raise ParseError(f"expected '+' or '-', got {text[pos]!r}", pos)
+        pos = m.end()
+        num = term_den = 1
+        if digits is not None:
+            # converted first: an over-limit numerator raises the int/str
+            # limit's ValueError before any denominator error
+            num = int(digits)
+            if slash:
+                if not den_digits:
+                    raise ParseError("expected digits", m.start(4))
+                term_den = int(den_digits)
+                if not term_den:
+                    raise ParseError("denominator must be positive", m.start(3) + 1)
+        elif not unit:
+            raise ParseError(f"expected term, got {text[pos]!r}" if pos < end
+                             else "expected term", pos)
         if den % term_den:
             up = term_den // gcd(den, term_den)
             numerators = [n * up for n in numerators]
             den *= up
-        numerators[slot] += (den // term_den) * (-num if negative else num)
-        first = False
-        if s.done():
-            return _build(*numerators, den)
-
-
-def _parse_term(s):
-    """One unsigned term as ``(slot, numerator, denominator)``, the slot
-    indexing the components w, x, y, z."""
-    if s.done():
-        raise ParseError("expected term", s.pos)
-    ch = s.peek()
-    if ch in _SLOTS:
-        s.take()
-        return _SLOTS[ch], 1, 1
-    if not "0" <= ch <= "9":
-        raise ParseError(f"expected term, got {ch!r}", s.pos)
-    numerator = s.take_integer()
-    denominator = 1
-    if s.peek() == "/":
-        slash_pos = s.pos
-        s.take()
-        denominator = s.take_integer()
-        if denominator == 0:
-            raise ParseError("denominator must be positive", slash_pos + 1)
-    slot = _SLOTS.get(s.peek(), 0)
-    if slot:
-        s.take()
-    return slot, numerator, denominator
+        numerators[_SLOTS[unit]] += (den // term_den) * (-num if sign == "-" else num)
+    return _build(*numerators, den)

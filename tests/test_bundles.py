@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -107,6 +108,12 @@ def test_lift_requires_shared_base():
             "cannot serialize fiber value 1",
         ),
         (
+            # json.dumps would write the key 1 as "1", which names no point
+            lambda: section_to_json(Section(Base((1, 2)), [I, J])),
+            TypeError,
+            "cannot serialize base label 1",
+        ),
+        (
             lambda: FiberedLinearMap(BASE3, Section(Base(("p", "q")), [identity(2)] * 2)),
             BaseMismatchError,
             "matrix section lives over a different base",
@@ -129,7 +136,7 @@ def test_lift_requires_shared_base():
         ),
     ],
     ids=["lift-nothing", "non-bijective-fiber-map", "exhaustive-needs-dicts", "json-int",
-         "map-of-section", "apply-across-bases", "compose-across-bases"],
+         "json-int-label", "map-of-section", "apply-across-bases", "compose-across-bases"],
 )
 def test_fiber_operations_reject_bad_input(build, error, message):
     with pytest.raises(error, match=message):
@@ -268,6 +275,29 @@ def test_section_json_roundtrip(rng):
     data = section_to_json(rows)
     assert set(data) == {"base", "values"}
     assert all(text.startswith("[") for text in data["values"].values())
+    for section in (scalars, rows):
+        assert section_from_json(json.loads(json.dumps(section_to_json(section)))) == section
+
+
+@pytest.mark.parametrize(
+    "data,error",
+    [
+        ([], ValueError),
+        ({"base": "p", "values": {"p": "1"}}, ValueError),
+        ({"base": [1], "values": {"1": "1"}}, ValueError),
+        ({"base": [["p"]], "values": {}}, ValueError),
+        ({"base": ["p"], "values": [1]}, ValueError),
+        ({"base": ["p"], "values": {"p": 3}}, ValueError),
+        ({"base": ["p"], "values": {"p": None}}, ValueError),
+        ({"values": {"p": "1"}}, KeyError),
+        ({"base": ["p"]}, KeyError),
+    ],
+    ids=["not-object", "base-string", "label-int", "label-list", "values-list",
+         "value-int", "value-null", "no-base", "no-values"],
+)
+def test_section_from_json_rejects_wrong_types(data, error):
+    with pytest.raises(error):
+        section_from_json(data)
 
 
 FIBERS = [Matrix([[K, I], [J, 1 + K]]), Matrix.zeros(2, 2)]

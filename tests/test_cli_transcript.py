@@ -79,7 +79,12 @@ CASES = [
     ["rank", "[i j]"],
     ["rank", "[1, ; 2]"],
     ["inv", "[1 + +i]"],
+    ["rank", "[1/ ]"],
+    ["rank", "[1 -]"],
     ["solve", SQUARE, "--rhs", "[1, 2"],
+    # whitespace around "/" and before a unit, and non-ASCII whitespace
+    ["mul", "[1]", "[ 1 / 2 i - 3 / 4 ]"],
+    ["mul", "[1]", "[1\u3000+\u3000i]"],  # ideographic spaces
     # dimension errors
     ["rank", "[1, 2; 3]"],
     ["mul", "[i, j]", "[i, j]"],

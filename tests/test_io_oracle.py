@@ -136,12 +136,19 @@ def _outcome(parse, text):
         return "value", tuple(parse(text))
     except ParseError as exc:
         return type(exc), str(exc), exc.position
+    except ValueError as exc:  # the int/str digit limit
+        return type(exc), str(exc)
 
 
-# The grammar's alphabet, whitespace the scanner skips, and characters that
-# look like it but are not in it: other scripts' digits, a superscript, a
-# letter and a dot.
-_ALPHABET = "0123456789/ijk+-" + " \t\n " + "٢²x."
+# a numerator past the int/str conversion limit of 4,300 digits
+_OVER_LIMIT = "7" * 4400
+
+
+# The grammar's alphabet, whitespace the parser skips (every kind that
+# ``str.isspace`` accepts: ASCII, Latin-1, an information separator, the line
+# separator and the ideographic space), and characters that look like it but
+# are not in it: other scripts' digits, a superscript, a letter and a dot.
+_ALPHABET = "0123456789/ijk+-" + " \t\n\xa0\x1c\x85\u2028\u3000" + "٢²x."
 
 _term = st.one_of(
     st.sampled_from(["i", "j", "k"]),
@@ -169,6 +176,8 @@ _grammar_text = _signed_terms.map(lambda terms: "".join(s + t for s, t in terms)
 @example("٢")
 @example("1 2")
 @example("+ ")
+@example(_OVER_LIMIT + "/")
+@example(_OVER_LIMIT + "/0")
 def test_parse_matches_oracle(text):
     assert _outcome(parse_quaternion, text) == _outcome(oracle_parse, text)
 
@@ -191,3 +200,13 @@ def test_text_and_json_match_oracle(q):
     assert quaternion_json(q) == oracle_json(q)
     assert json.dumps(quaternion_json(q), sort_keys=True) == json.dumps(
         oracle_json(q), sort_keys=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_quaternions)
+@example(Quaternion(0, 0, 0, 0))
+@example(Quaternion(Fraction(-1, 2), 0, Fraction(1, 1), Fraction(-6, 4)))
+def test_parse_inverts_format(q):
+    text = format_quaternion(q)
+    assert parse_quaternion(text) == q
+    assert _outcome(parse_quaternion, text) == _outcome(oracle_parse, text)
