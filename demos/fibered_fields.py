@@ -10,6 +10,7 @@ import random
 from skewlin import (
     Base,
     Bijection,
+    Matrix,
     Quaternion,
     FiberedLinearMap,
     FiberOperation,
@@ -18,7 +19,6 @@ from skewlin import (
     apply_fibered_map,
     check_transition,
     compose_fibered_maps,
-    identity,
     scalar_action,
     section_to_json,
 )
@@ -45,7 +45,7 @@ h = FiberedLinearMap(base, [random_matrix(rng, 2, 2, bound=3) for _ in base.poin
 image = apply_fibered_map(vectors, h)
 print("\nimage under a fibered map:", image)
 
-unit_map = FiberedLinearMap(base, [identity(2)] * 4)
+unit_map = FiberedLinearMap(base, [Matrix.identity(2)] * 4)
 assert apply_fibered_map(vectors, unit_map) == vectors
 
 g = FiberedLinearMap(base, [random_matrix(rng, 2, 2, bound=3) for _ in base.points])

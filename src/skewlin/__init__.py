@@ -37,7 +37,6 @@ from .matrix import (
     cr_product,
     extended_matrix,
     format_matrix,
-    identity,
     parse_matrix,
     rc_product,
     transpose,
@@ -55,7 +54,6 @@ from .quaternion import (
     I,
     J,
     K,
-    ONE,
     Quaternion,
     format_quaternion,
     parse_quaternion,

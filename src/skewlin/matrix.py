@@ -10,10 +10,10 @@ contracts:
 * ``cr_product(A, B)[i][j] = sum_k A[k][j] * B[i][k]`` (A-factor on the left),
 
 and they are exchanged by the transpose duality functor:
-``cr_product(A, B) == rc_product(A.T, B.T).T``.  Each entry of either
-product is one :func:`skewlin.quaternion._dot`, normalized once rather than
-once per term, over the lcm of the term denominators rather than their
-product.
+``cr_product(A, B) == transpose(rc_product(transpose(A), transpose(B)))``.
+Each entry of either product is one :func:`skewlin.quaternion._dot`,
+normalized once rather than once per term, over the lcm of the term
+denominators rather than their product.
 
 Grid positions in named operations (``minor``, quasideterminant positions,
 rank index sets) are 1-based, matching the index conventions of the
@@ -132,13 +132,8 @@ class Matrix:
         return self + (-other)
 
     def scale_left(self, s):
-        """Left scalar action ``s * M`` (scalars act from the left here)."""
+        """Left scalar action: each entry ``a`` becomes ``s * a``."""
         return Matrix([[s * a for a in row] for row in self.cells], cols=self.cols)
-
-    def __rmul__(self, s):
-        if isinstance(s, Matrix):
-            return NotImplemented
-        return self.scale_left(s)
 
     def is_zero(self):
         return all(a.is_zero() for row in self.cells for a in row)
@@ -150,10 +145,6 @@ class Matrix:
             [[self.cells[i][j] for i in range(self.rows)] for j in range(self.cols)],
             cols=self.rows,
         )
-
-    @property
-    def T(self):
-        return self.transpose()
 
     def minor(self, row_set, col_set):
         """Submatrix picked by 1-based row and column index sequences."""
@@ -208,18 +199,13 @@ def rc_product(a, b):
 def cr_product(a, b):
     """Column-times-row product: for ``a`` of shape n x p and ``b`` of shape
     m x n, ``result[i][j] = sum_k a[k][j] * b[i][k]``.  Computed as its
-    duality functor image ``rc_product(a.T, b.T).T``."""
+    duality functor image ``transpose(rc_product(transpose(a), transpose(b)))``."""
     if a.rows != b.cols:
         raise DimensionMismatch(f"cr product needs {b.shape} x {a.shape} outer match")
     return rc_product(a.transpose(), b.transpose()).transpose()
 
 
-def transpose(a):
-    return a.transpose()
-
-
-def identity(n):
-    return Matrix.identity(n)
+transpose = Matrix.transpose
 
 
 def extended_matrix(a, b):

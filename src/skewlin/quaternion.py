@@ -302,7 +302,6 @@ def _dot(left, right):
 _ZERO = Quaternion(0, 0, 0, 0)
 _ONE = Quaternion(1, 0, 0, 0)
 
-ONE = _ONE
 I = Quaternion(0, 1, 0, 0)
 J = Quaternion(0, 0, 1, 0)
 K = Quaternion(0, 0, 0, 1)

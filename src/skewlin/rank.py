@@ -66,8 +66,12 @@ class IndexSelection:
         if len(rows) != len(cols):
             raise ValueError("row and column sets must have equal size")
         for seq in (rows, cols):
-            if len(set(seq)) != len(seq) or any(type(i) is not int or i < 1 for i in seq):
-                raise ValueError(f"indices must be distinct 1-based naturals: {seq}")
+            if any(type(i) is not int for i in seq) or not all(
+                i < j for i, j in zip((0,) + seq, seq)
+            ):
+                raise ValueError(
+                    f"indices must be distinct 1-based naturals in increasing order: {seq}"
+                )
 
 
 @dataclass(frozen=True)

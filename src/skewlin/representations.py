@@ -70,17 +70,6 @@ class FiniteMonoid:
     def size(self):
         return len(self.table)
 
-    def op(self, a, b):
-        return self.table[a][b]
-
-    def opposite(self):
-        """Same elements with reversed multiplication; right-side actions of
-        this monoid are plain left actions of the opposite one."""
-        n = self.size
-        return FiniteMonoid(
-            [[self.table[b][a] for b in range(n)] for a in range(n)], self.unit
-        )
-
 
 def _generators(table, unit):
     """Greedy generating set: each element that the generators so far do not
@@ -140,9 +129,6 @@ class FiniteRepresentation:
         for m in action:
             if len(m) != self.carrier or (m and (min(m) < 0 or max(m) >= self.carrier)):
                 raise ValueError("transformations must be total maps of the carrier")
-
-    def transform(self, a, m):
-        return self.action[a][m]
 
 
 def rotation_representation(n):
@@ -284,8 +270,8 @@ def morphism_from_base_points(f, g, algebra_map, base_m, base_n):
     ``r(a) . base_n``.  ``algebra_map`` must be a monoid homomorphism."""
     carrier_map = [None] * f.carrier
     for a in range(f.algebra.size):
-        m = f.transform(a, base_m)
-        value = g.transform(algebra_map[a], base_n)
+        m = f.action[a][base_m]
+        value = g.action[algebra_map[a]][base_n]
         if carrier_map[m] not in (None, value):
             raise InvalidMorphismError("orbit transport is ambiguous")
         carrier_map[m] = value

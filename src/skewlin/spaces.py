@@ -6,11 +6,27 @@ commuting square ``expand then multiply == apply then expand`` makes the
 identification sound).  Only the left-scalar row convention is implemented
 natively; the other three notational models are reached through ``dualize``
 (the transpose duality functor) and mirrored evaluation order.
+
+A basis is valid exactly when ``is_independent(basis.matrix)``.  Four names
+here are aliases that read a matrix operation as an operation on maps:
+
+* ``apply_map(a, h)`` is :func:`rc_product`: the image of the coordinate
+  row ``a`` under the map with matrix ``h``;
+* ``compose_maps(a, b)`` is :func:`rc_product`: the matrix of ``apply b
+  after apply a``, so associativity of the product is commutativity of the
+  composition diagram;
+* ``is_automorphism(h)`` is :func:`is_rc_nonsingular`: ``h`` presents an
+  invertible self-map, square and nonsingular; such matrices form a group
+  under the product;
+* ``dualize(a)`` is :func:`transpose`, the duality functor on
+  presentations.  Any identity verified in the native model verifies in the
+  mirrored model with the two products exchanged; applying it twice is the
+  identity.
 """
 
 from dataclasses import dataclass
 
-from .matrix import Matrix, rc_product
+from .matrix import Matrix, rc_product, transpose
 from .quasidet import is_rc_nonsingular, solve_nonsingular
 from .rank import rc_rank
 
@@ -21,10 +37,6 @@ class BasisModel:
     coordinates of the a-th basis vector in the ambient space."""
 
     matrix: Matrix
-
-    def is_valid(self):
-        """Rows independent; for a square matrix this means nonsingular."""
-        return is_independent(self.matrix)
 
 
 def expand_in_basis(v, basis):
@@ -39,26 +51,6 @@ def is_independent(vectors):
     return rc_rank(vectors).rank == vectors.rows
 
 
-def apply_map(a, h):
-    """Image of the coordinate row ``a`` under the map with matrix ``h``."""
-    return rc_product(a, h)
-
-
-def compose_maps(a, b):
-    """Matrix of ``apply b after apply a``; associativity of the product is
-    exactly commutativity of the composition diagram."""
-    return rc_product(a, b)
-
-
-def is_automorphism(h):
-    """True iff ``h`` presents an invertible self-map: square and nonsingular
-    (:func:`is_rc_nonsingular` is False on non-square input).  Such matrices
-    form a group under the product."""
-    return is_rc_nonsingular(h)
-
-
-def dualize(a):
-    """The duality functor on presentations: transpose the grid.  Any
-    identity verified in the native model verifies in the mirrored model
-    with the two products exchanged; applying it twice is the identity."""
-    return a.transpose()
+apply_map = compose_maps = rc_product
+is_automorphism = is_rc_nonsingular
+dualize = transpose

@@ -23,7 +23,6 @@ from skewlin import (
     apply_fibered_map,
     check_transition,
     compose_fibered_maps,
-    identity,
     lift_operation,
     rc_product,
     scalar_action,
@@ -114,22 +113,22 @@ def test_lift_requires_shared_base():
             "cannot serialize base label 1",
         ),
         (
-            lambda: FiberedLinearMap(BASE3, Section(Base(("p", "q")), [identity(2)] * 2)),
+            lambda: FiberedLinearMap(BASE3, Section(Base(("p", "q")), [Matrix.identity(2)] * 2)),
             BaseMismatchError,
             "matrix section lives over a different base",
         ),
         (
             lambda: apply_fibered_map(
                 Section(Base(("p", "q")), [Matrix.row([I, J])] * 2),
-                FiberedLinearMap(BASE3, [identity(2)] * 3),
+                FiberedLinearMap(BASE3, [Matrix.identity(2)] * 3),
             ),
             BaseMismatchError,
             "sections live over different bases",
         ),
         (
             lambda: compose_fibered_maps(
-                FiberedLinearMap(Base(("p", "q")), [identity(2)] * 2),
-                FiberedLinearMap(BASE3, [identity(2)] * 3),
+                FiberedLinearMap(Base(("p", "q")), [Matrix.identity(2)] * 2),
+                FiberedLinearMap(BASE3, [Matrix.identity(2)] * 3),
             ),
             BaseMismatchError,
             "sections live over different bases",
@@ -185,12 +184,12 @@ def test_vector_field_laws(rng):
 
 def test_fibered_map_shapes_must_agree():
     with pytest.raises(DimensionMismatch):
-        FiberedLinearMap(BASE3, [identity(2), identity(2), identity(3)])
+        FiberedLinearMap(BASE3, [Matrix.identity(2), Matrix.identity(2), Matrix.identity(3)])
 
 
 def test_apply_identity_fibered_map(rng):
     vectors = random_row_section(rng, BASE3, 2)
-    h = FiberedLinearMap(BASE3, [identity(2)] * 3)
+    h = FiberedLinearMap(BASE3, [Matrix.identity(2)] * 3)
     assert apply_fibered_map(vectors, h) == vectors
 
 

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from skewlin import (
+    Matrix,
     check_morphism,
     cr_product,
-    identity,
     morphism_from_json,
     parse_matrix,
     rc_inverse,
@@ -104,7 +104,7 @@ def test_inv_cr_kind():
     status, out, _ = invoke(["inv", "--kind", "cr", "[k, 0; 0, j]"])
     assert status == 0
     inverse = parse_matrix(out.strip())
-    assert cr_product(parse_matrix("[k, 0; 0, j]"), inverse) == identity(2)
+    assert cr_product(parse_matrix("[k, 0; 0, j]"), inverse) == Matrix.identity(2)
 
 
 def test_inv_json_format():

@@ -7,6 +7,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "data" / "demos"
 
 
 def test_demos_are_found():
@@ -29,4 +30,4 @@ def test_demo_runs_cleanly(demo):
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
-    assert result.stdout
+    assert result.stdout == (GOLDEN / f"{demo.stem}.golden").read_text()

@@ -440,8 +440,10 @@ def _matrix_pairs(draw):
 def test_products_match_schoolbook_product(pair):
     a, b = pair
     assert rc_product(a, b) == schoolbook_product(a, b)
-    # cr_product(a.T, b.T)[j][i] = sum_k a.T[k][i] * b.T[j][k] = sum_k a[i][k] * b[k][j]
-    assert cr_product(a.T, b.T).T == schoolbook_product(a, b)
+    # with at, bt the transposes of a, b:
+    # cr_product(at, bt)[j][i] = sum_k at[k][i] * bt[j][k] = sum_k a[i][k] * b[k][j]
+    at, bt = a.transpose(), b.transpose()
+    assert cr_product(at, bt).transpose() == schoolbook_product(a, b)
 
 
 def _big_integer_matrix(rng, rows, cols, digits):

@@ -11,7 +11,6 @@ from skewlin import (
     cr_inverse,
     cr_product,
     cr_quasideterminant,
-    identity,
     is_rc_nonsingular,
     parse_matrix,
     rc_inverse,
@@ -56,7 +55,7 @@ def right_inverse_by_column_elimination(a):
 
 
 def test_inverse_of_identity():
-    assert rc_inverse(identity(3)) == identity(3)
+    assert rc_inverse(Matrix.identity(3)) == Matrix.identity(3)
 
 
 def test_example_matrix_is_singular(example_matrix):
@@ -69,8 +68,8 @@ def test_diagonal_inverse_roundtrip():
     a = parse_matrix("[k, 0; 0, j]")
     inv = rc_inverse(a)
     assert inv == parse_matrix("[-k, 0; 0, -j]")
-    assert rc_product(a, inv) == identity(2)
-    assert rc_product(inv, a) == identity(2)
+    assert rc_product(a, inv) == Matrix.identity(2)
+    assert rc_product(inv, a) == Matrix.identity(2)
 
 
 def test_inverse_requires_square():
@@ -88,8 +87,8 @@ def test_inverse_roundtrip_random(rng):
     for n in (1, 2, 3):
         a = random_nonsingular_matrix(rng, n, bound=5)
         inv = rc_inverse(a)
-        assert rc_product(a, inv) == identity(n)
-        assert rc_product(inv, a) == identity(n)
+        assert rc_product(a, inv) == Matrix.identity(n)
+        assert rc_product(inv, a) == Matrix.identity(n)
 
 
 def test_quasideterminant_of_example(example_matrix):
@@ -103,7 +102,7 @@ def test_quasideterminant_base_case():
 
 def test_quasideterminant_undefined_on_identity():
     # complementary entry is zero, so the correction term has no inverse
-    assert rc_quasideterminant(identity(2), 1, 2) is None
+    assert rc_quasideterminant(Matrix.identity(2), 1, 2) is None
 
 
 def test_quasideterminant_position_checked(example_matrix):
@@ -141,7 +140,7 @@ def test_duality_on_random_squares(rng):
         a = random_nonsingular_matrix(rng, n, bound=4)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                assert cr_quasideterminant(a, i, j) == rc_quasideterminant(a.T, i, j)
+                assert cr_quasideterminant(a, i, j) == rc_quasideterminant(a.transpose(), i, j)
 
 
 def test_inverse_via_quasidet_requires_square():
@@ -150,7 +149,7 @@ def test_inverse_via_quasidet_requires_square():
 
 
 def test_inverse_via_quasidet_identity():
-    assert rc_inverse_via_quasidet(identity(2)) == identity(2)
+    assert rc_inverse_via_quasidet(Matrix.identity(2)) == Matrix.identity(2)
 
 
 def test_inverse_via_quasidet_diagonal():
@@ -196,8 +195,8 @@ def test_singularity_iff_zero_quasideterminant(rng):
 def test_cr_inverse_roundtrip(rng):
     a = random_nonsingular_matrix(rng, 3, bound=4)
     inv = cr_inverse(a)
-    assert cr_product(a, inv) == identity(3)
-    assert cr_product(inv, a) == identity(3)
+    assert cr_product(a, inv) == Matrix.identity(3)
+    assert cr_product(inv, a) == Matrix.identity(3)
 
 
 def test_quasideterminant_inverse_relation(rng):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from skewlin import I, J, K, ONE, ParseError, Quaternion, parse_quaternion
+from skewlin import I, J, K, ParseError, Quaternion, parse_quaternion
 from skewlin.quaternion import _dot, _sub_mul
 
 rationals = st.fractions(
@@ -17,9 +17,9 @@ def test_unit_relations():
     assert I * J == K
     assert J * K == I
     assert K * I == J
-    assert I * I == -ONE
-    assert J * J == -ONE
-    assert K * K == -ONE
+    assert I * I == -Quaternion.one()
+    assert J * J == -Quaternion.one()
+    assert K * K == -Quaternion.one()
 
 
 def test_noncommutativity_witness():
@@ -30,7 +30,7 @@ def test_noncommutativity_witness():
 
 def test_products_from_singular_family_parameters():
     # the two matrix entries of the worked 2x2 example
-    assert (ONE + K) * K == parse_quaternion("-1+k")
+    assert (Quaternion.one() + K) * K == parse_quaternion("-1+k")
     assert K * J == -I
 
 
@@ -42,8 +42,8 @@ def test_inverse_by_conjugate_over_norm():
     value = parse_quaternion("-1+k")
     expected = Quaternion(Fraction(-1, 2), 0, 0, Fraction(-1, 2))
     assert value.inverse() == expected
-    assert value * value.inverse() == ONE
-    assert value.inverse() * value == ONE
+    assert value * value.inverse() == Quaternion.one()
+    assert value.inverse() * value == Quaternion.one()
 
 
 def test_zero_has_no_inverse():
@@ -77,8 +77,8 @@ def test_distributive_laws(a, b, c):
 
 @given(nonzero_quaternions)
 def test_inverse_roundtrip(a):
-    assert a * a.inverse() == ONE
-    assert a.inverse() * a == ONE
+    assert a * a.inverse() == Quaternion.one()
+    assert a.inverse() * a == Quaternion.one()
 
 
 @given(quaternions)
@@ -190,7 +190,7 @@ SIXTH = Quaternion(Fraction(1, 6))
 # dx == dl == 2, and 2 divides no numerator
 @example(HALVES, HALVES, Quaternion(0, Fraction(1, 3), 0, 0))
 # dx == dl == 1
-@example(Quaternion.zero(), ONE, Quaternion.zero())
+@example(Quaternion.zero(), Quaternion.one(), Quaternion.zero())
 # dx = 1 and dx = 2 dividing dl * dy = 6
 @example(Quaternion(3, -1, 0, 2), HALVES, K)
 @example(HALVES, Quaternion(Fraction(1, 3), Fraction(1, 6), 0, 0), J)
@@ -204,15 +204,15 @@ def test_sub_mul_is_difference_of_product(x, l, y):
 
 
 @given(st.lists(st.tuples(exact_quaternions, exact_quaternions), min_size=1, max_size=8))
-@example([(HALVES, I), (J, HALVES), (ONE, K)])
-@example([(I, J), (K, ONE), (HALVES, HALVES), (Quaternion.zero(), HALVES)])
+@example([(HALVES, I), (J, HALVES), (Quaternion.one(), K)])
+@example([(I, J), (K, Quaternion.one()), (HALVES, HALVES), (Quaternion.zero(), HALVES)])
 # term denominators 2, 4, 2, 3, 18 against running denominators 1, 2, 4, 4,
 # 12: a multiple of the running one, again, a divisor of it, coprime to it,
 # and sharing the factor 6 with it
 @example([
     (HALVES, I),
     (HALVES, HALVES),
-    (ONE, HALVES),
+    (Quaternion.one(), HALVES),
     (Quaternion(Fraction(1, 3)), K),
     (Quaternion(0, Fraction(1, 9)), HALVES),
 ])

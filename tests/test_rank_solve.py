@@ -12,7 +12,6 @@ from skewlin import (
     cr_rank,
     cr_singular_family,
     extended_matrix,
-    identity,
     rc_product,
     rc_rank,
     rc_singular_family,
@@ -38,7 +37,7 @@ def test_rank_of_example(example_matrix):
 
 
 def test_rank_of_identity_and_zero():
-    assert rc_rank(identity(3)).rank == 3
+    assert rc_rank(Matrix.identity(3)).rank == 3
     zero_report = rc_rank(Matrix.zeros(2, 2))
     assert zero_report.rank == 0
     assert zero_report.minor is None
@@ -51,7 +50,7 @@ def test_cr_rank_of_example(example_matrix):
 
 
 def test_cr_rank_basics():
-    assert cr_rank(identity(2)).rank == 2
+    assert cr_rank(Matrix.identity(2)).rank == 2
     assert cr_rank(Matrix.zeros(2, 3)).rank == 0
 
 
@@ -107,7 +106,14 @@ def test_row_dependence_checks_the_row_index(p):
 
 
 @pytest.mark.parametrize(
-    "rows,cols", [((True,), (1,)), ((1,), (True,)), ((1.5,), (1,)), ((1, 2), (1, 2.0))]
+    "rows,cols",
+    [
+        ((True,), (1,)),
+        ((1,), (True,)),
+        ((1.5,), (1,)),
+        ((1, 2), (1, 2.0)),
+        ((2, 1), (1, 2)),
+    ],
 )
 def test_index_selection_takes_only_int_indices(rows, cols):
     with pytest.raises(ValueError, match="indices must be distinct 1-based naturals"):
@@ -152,7 +158,7 @@ def test_dependence_corollary_nonzero_annihilator(rng):
 
 def test_solve_nonsingular_identity(rng):
     b = random_row(rng, 3)
-    assert solve_nonsingular(identity(3), b) == b
+    assert solve_nonsingular(Matrix.identity(3), b) == b
 
 
 def test_solve_nonsingular_1x1():
@@ -189,7 +195,7 @@ def test_solve_general_inconsistent(example_matrix):
 
 def test_solve_general_nonsingular_system(rng):
     b = random_row(rng, 2)
-    solution = solve_general(identity(2), b)
+    solution = solve_general(Matrix.identity(2), b)
     assert solution.consistent
     assert solution.particular == b
     assert solution.homogeneous_basis == ()

@@ -44,7 +44,7 @@ def is_representation(rep):
     for a in range(n):
         for b in range(n):
             composed = tuple(rep.action[a][rep.action[b][m]] for m in range(size))
-            if rep.action[rep.algebra.op(a, b)] != composed:
+            if rep.action[rep.algebra.table[a][b]] != composed:
                 return False
     return True
 
@@ -58,11 +58,11 @@ def is_morphism(morphism):
         return False
     for a in range(f.algebra.size):
         for b in range(f.algebra.size):
-            if r[f.algebra.op(a, b)] != g.algebra.op(r[a], r[b]):
+            if r[f.algebra.table[a][b]] != g.algebra.table[r[a]][r[b]]:
                 return False
     for a in range(f.algebra.size):
         for m in range(f.carrier):
-            if big_r[f.transform(a, m)] != g.transform(r[a], big_r[m]):
+            if big_r[f.action[a][m]] != g.action[r[a]][big_r[m]]:
                 return False
     return True
 
@@ -74,7 +74,7 @@ def closure_of_unit(monoid):
     while pending:
         a = pending.pop()
         for g in monoid.generators:
-            b = monoid.op(a, g)
+            b = monoid.table[a][g]
             if b not in reached:
                 reached.add(b)
                 pending.append(b)

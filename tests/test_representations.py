@@ -54,14 +54,6 @@ def test_monoid_validation():
         FiniteMonoid(((0, 1, 2), (1, 2, 1), (2, 1, 1)), 0)
 
 
-def test_monoid_opposite_reverses_products():
-    m = cyclic_monoid(5)
-    op = m.opposite()
-    for a in range(5):
-        for b in range(5):
-            assert op.op(a, b) == m.op(b, a)
-
-
 def test_validate_swap_representation():
     assert validate_representation(C2_SWAP)
 
