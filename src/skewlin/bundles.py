@@ -57,7 +57,10 @@ class Section:
         object.__setattr__(self, "_values", ordered)
 
     def __getitem__(self, label):
-        return self._values[self.base.points.index(label)]
+        try:
+            return self._values[self.base.points.index(label)]
+        except ValueError:
+            raise KeyError(label) from None
 
     def values(self):
         return self._values
@@ -121,10 +124,6 @@ class FiberedLinearMap:
 
     def matrices(self):
         return self._matrices
-
-    @property
-    def shape(self):
-        return self._matrices.values()[0].shape
 
 
 def apply_fibered_map(vectors, fibered_map):

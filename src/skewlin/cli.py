@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+from collections import namedtuple
 
 from .errors import (
     DimensionMismatch,
@@ -23,7 +24,7 @@ from .errors import (
     ParseError,
     SingularMatrixError,
 )
-from .matrix import Matrix, cr_product, format_matrix, parse_matrix, rc_product
+from .matrix import cr_product, format_matrix, parse_matrix, rc_product
 from .quasidet import (
     cr_inverse,
     cr_quasideterminant,
@@ -101,19 +102,13 @@ def _parser():
         p.set_defaults(arity=arity, run=runner)
         return p
 
-    p = matrix_command("qdet", "quasideterminant at a position", 1, _run_qdet)
-    p.add_argument("--kind", choices=("rc", "cr"), default="rc")
-    p.add_argument("--pos", required=True, metavar="P,R",
-                   help="1-based position, e.g. 2,2")
-
-    p = matrix_command("inv", "two-sided inverse", 1, _run_inv)
-    p.add_argument("--kind", choices=("rc", "cr"), default="rc")
-
-    p = matrix_command("rank", "rank and major minor", 1, _run_rank)
-    p.add_argument("--kind", choices=("rc", "cr"), default="rc")
-
-    p = matrix_command("mul", "product of two matrices", 2, _run_mul)
-    p.add_argument("--kind", choices=("rc", "cr"), default="rc")
+    for name, command in _KIND_COMMANDS.items():
+        p = matrix_command(name, command.help, command.arity, _run_kind_command)
+        p.add_argument("--kind", choices=("rc", "cr"), default="rc")
+        if command.takes_position:
+            p.add_argument("--pos", required=True, metavar="P,R",
+                           help="1-based position, e.g. 2,2")
+        p.set_defaults(command_spec=command)
 
     p = matrix_command("solve", "general solver for x*A = b", 1, _run_solve)
     p.add_argument("--rhs", required=True, metavar="ROW",
@@ -161,23 +156,6 @@ def _emit(out, args, value, to_text, to_json):
         print(to_text(value), file=out)
 
 
-def _run_qdet(args, out):
-    (matrix,) = _gather_matrices(args)
-    p, r = _parse_position(args.pos)
-    qdet = rc_quasideterminant if args.kind == "rc" else cr_quasideterminant
-    value = qdet(matrix, p, r)
-    if value is None:
-        raise MathError("undefined")
-    _emit(out, args, value, format_quaternion, quaternion_json)
-
-
-def _run_inv(args, out):
-    (matrix,) = _gather_matrices(args)
-    invert = rc_inverse if args.kind == "rc" else cr_inverse
-    result = invert(matrix)
-    _emit(out, args, result, format_matrix, matrix_json)
-
-
 def _rank_text(report):
     if report.minor is None:
         return f"rank: {report.rank}\nminor: absent"
@@ -194,17 +172,31 @@ def _rank_json(report):
     }
 
 
-def _run_rank(args, out):
-    (matrix,) = _gather_matrices(args)
-    report = (rc_rank if args.kind == "rc" else cr_rank)(matrix)
-    _emit(out, args, report, _rank_text, _rank_json)
+# A subcommand with an rc and a cr form; its operands are ``arity`` matrices,
+# then the ``--pos`` position when ``takes_position``.
+_KindCommand = namedtuple("_KindCommand", "help arity rc cr to_text to_json takes_position")
+
+_KIND_COMMANDS = {
+    "qdet": _KindCommand("quasideterminant at a position", 1, rc_quasideterminant,
+                         cr_quasideterminant, format_quaternion, quaternion_json, True),
+    "inv": _KindCommand("two-sided inverse", 1, rc_inverse, cr_inverse,
+                        format_matrix, matrix_json, False),
+    "rank": _KindCommand("rank and major minor", 1, rc_rank, cr_rank,
+                         _rank_text, _rank_json, False),
+    "mul": _KindCommand("product of two matrices", 2, rc_product, cr_product,
+                        format_matrix, matrix_json, False),
+}
 
 
-def _run_mul(args, out):
-    a, b = _gather_matrices(args)
-    product = rc_product if args.kind == "rc" else cr_product
-    result = product(a, b)
-    _emit(out, args, result, format_matrix, matrix_json)
+def _run_kind_command(args, out):
+    command = args.command_spec
+    operands = _gather_matrices(args)
+    if command.takes_position:
+        operands.extend(_parse_position(args.pos))
+    result = (command.rc if args.kind == "rc" else command.cr)(*operands)
+    if result is None:  # an undefined quasideterminant
+        raise MathError("undefined")
+    _emit(out, args, result, command.to_text, command.to_json)
 
 
 def _solution_text(solution):

@@ -141,10 +141,9 @@ class Matrix:
     # -- reshaping ---------------------------------------------------------------
 
     def transpose(self):
-        return Matrix(
-            [[self.cells[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        # zip of no rows is empty; the transpose of 0 x n has n empty rows
+        columns = list(zip(*self.cells)) if self.rows else [()] * self.cols
+        return Matrix(columns, cols=self.rows)
 
     def minor(self, row_set, col_set):
         """Submatrix picked by 1-based row and column index sequences."""
@@ -154,15 +153,11 @@ class Matrix:
 
     def without(self, p, r):
         """Complementary submatrix: delete 1-based row ``p`` and column ``r``."""
-        p = _check_index(p, self.rows, "row")
-        r = _check_index(r, self.cols, "column")
-        return Matrix(
-            [
-                [a for j, a in enumerate(row) if j != r]
-                for i, row in enumerate(self.cells)
-                if i != p
-            ],
-            cols=self.cols - 1,
+        _check_index(p, self.rows, "row")
+        _check_index(r, self.cols, "column")
+        return self.minor(
+            [i for i in range(1, self.rows + 1) if i != p],
+            [j for j in range(1, self.cols + 1) if j != r],
         )
 
     def __str__(self):

@@ -62,7 +62,8 @@ class Quaternion(tuple):
 
     The value is the tuple ``(nw, nx, ny, nz, den)`` itself: four integer
     numerators over a positive denominator, in lowest terms, so equal
-    quaternions are equal tuples and hash alike.  The layout is private; use
+    quaternions are equal tuples and hash alike, and one with no imaginary
+    part hashes like the int or Fraction it equals.  The layout is private; use
     ``w``/``x``/``y``/``z``.  Immutable; instances may be shared and used
     concurrently.
     """
@@ -129,7 +130,11 @@ class Quaternion(tuple):
         return _build(a * d2 + e * d1, b * d2 + f * d1, c * d2 + g * d1, d * d2 + h * d1,
                       d1 * d2)
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        # tuple's own + would otherwise concatenate the private layout
+        if isinstance(other, tuple):
+            raise TypeError(f"cannot add {type(other).__name__} and Quaternion")
+        return self.__add__(other)
 
     def __neg__(self):
         # a sign change keeps the gcd at 1, so no normalizing is needed
@@ -199,7 +204,12 @@ class Quaternion(tuple):
 
     # object's __ne__ negates __eq__; tuple's would compare components
     __ne__ = object.__ne__
-    __hash__ = tuple.__hash__
+
+    def __hash__(self):
+        nw, nx, ny, nz, den = self
+        if nx or ny or nz:
+            return tuple.__hash__(self)
+        return hash(Fraction(nw, den))
 
     def _unordered(self, other):
         raise TypeError("quaternions are not ordered")

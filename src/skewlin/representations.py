@@ -1,8 +1,9 @@
 """Finite monoid actions and the factorization of their morphisms.
 
 A representation here is a homomorphism from a finite monoid into the
-left transformations of a finite set.  Associativity, the representation
-laws and the morphism laws are checked on a generating set (Light's test);
+left transformations of a finite set.  Associativity (Light's test: the
+representation law of the monoid acting on its own table), the
+representation laws and the morphism laws are checked on a generating set;
 effectiveness and transitivity are checked exhaustively.
 
 The central result implemented is the factorization of a morphism
@@ -59,10 +60,10 @@ class FiniteMonoid:
                 raise ValueError(f"unit laws fail at element {a}")
         generators = _generators(table, e)
         object.__setattr__(self, "generators", generators)
-        # Light's test: the elements b with (a*b)*c == a*(b*c) for every a
-        # and c are closed under the product and hold the unit, so they are
-        # all elements once they hold the generators
-        if not all(_associates_through(table, b) for b in generators):
+        # Light's test: the table acting on itself obeys the law at b iff
+        # (a*b)*c == a*(b*c) for every a and c; those b are closed under the
+        # product and hold the unit, so all are once the generators are
+        if not _obeys_product_law(table, table, generators):
             a, b, c = _first_nonassociative_triple(table)
             raise ValueError(f"associativity fails at ({a}, {b}, {c})")
 
@@ -90,10 +91,15 @@ def _generators(table, unit):
     return tuple(generators)
 
 
-def _associates_through(table, b):
-    """True iff ``(a*b)*c == a*(b*c)`` for every ``a`` and ``c``."""
-    row_b = table[b]
-    return all(table[row_a[b]] == tuple([row_a[v] for v in row_b]) for row_a in table)
+def _obeys_product_law(table, action, generators):
+    """True iff ``action[a*g] == action[a] o action[g]`` for every element
+    ``a`` and every generator ``g``."""
+    for g in generators:
+        phi_g = action[g]
+        for row, phi_a in zip(table, action):
+            if action[row[g]] != tuple([phi_a[m] for m in phi_g]):
+                return False
+    return True
 
 
 def _first_nonassociative_triple(table):
@@ -145,15 +151,10 @@ def validate_representation(rep):
     the composition of the actions.  Checking ``phi(a*g) == phi(a) o phi(g)``
     for every ``a`` and every generator ``g`` suffices: the monoid is
     associative, so the law then extends from ``b`` to ``b*g``."""
-    action, table = rep.action, rep.algebra.table
-    if action[rep.algebra.unit] != tuple(range(rep.carrier)):
+    algebra = rep.algebra
+    if rep.action[algebra.unit] != tuple(range(rep.carrier)):
         return False
-    for g in rep.algebra.generators:
-        phi_g = action[g]
-        for a, phi_a in enumerate(action):
-            if action[table[a][g]] != tuple([phi_a[m] for m in phi_g]):
-                return False
-    return True
+    return _obeys_product_law(algebra.table, rep.action, algebra.generators)
 
 
 @dataclass(frozen=True)
@@ -166,18 +167,14 @@ class RepresentationTraits:
 def classify(rep):
     """Effectiveness (distinct elements act distinctly), transitivity (every
     ordered point pair is connected), and single transitivity (both, with the
-    connecting element unique for every pair)."""
+    connecting element unique for every pair), read off each point's images
+    under every element: transitive iff each list covers the carrier, with
+    unique witnesses iff in addition no list repeats a point."""
     n, size = rep.algebra.size, rep.carrier
     effective = len(set(rep.action)) == n
-    transitive = True
-    unique_witness = True
-    for target in range(size):
-        for source in range(size):
-            witnesses = sum(1 for g in range(n) if rep.action[g][source] == target)
-            if witnesses == 0:
-                transitive = False
-            if witnesses != 1:
-                unique_witness = False
+    distinct_images = [len(set(images)) for images in zip(*rep.action)]
+    transitive = all(count == size for count in distinct_images)
+    unique_witness = all(count == n for count in distinct_images)
     return RepresentationTraits(
         effective, transitive, effective and transitive and unique_witness
     )

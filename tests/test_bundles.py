@@ -68,6 +68,19 @@ def test_section_must_be_total():
     assert section["q"] == J
 
 
+def test_label_outside_the_base_is_a_key_error():
+    section = Section(BASE3, [K, J, I])
+    fibered = FiberedLinearMap(BASE3, [Matrix.identity(1)] * 3)
+    for lookup in (section, fibered):
+        with pytest.raises(KeyError) as raised:
+            lookup["s"]
+        assert raised.value.args == ("s",)
+
+
+def test_section_repr_lists_each_point():
+    assert repr(Section(Base(("p",)), [Quaternion(1)])) == "Section({p: 1})"
+
+
 def test_lift_addition_of_constants():
     u = constant_section(BASE3, K)
     v = constant_section(BASE3, 1 + J)

@@ -159,6 +159,18 @@ def test_non_integer_indices_are_rejected(example_matrix, access):
         access(example_matrix)
 
 
+@pytest.mark.parametrize(
+    "operation", [lambda m: m + 1, lambda m: m - 1], ids=["add-int", "sub-int"]
+)
+def test_matrix_arithmetic_takes_only_matrices(operation):
+    with pytest.raises(TypeError):
+        operation(Matrix.identity(1))
+
+
+def test_repr_shows_the_text_form():
+    assert repr(Matrix.identity(2)) == "Matrix('[1, 0; 0, 1]')"
+
+
 def test_scalar_action_is_entrywise_left(example_matrix):
     scaled = example_matrix.scale_left(K)
     assert scaled[0, 0] == K * example_matrix[0, 0]

@@ -58,6 +58,30 @@ def test_scalar_coercion():
     assert Fraction(1, 2) * I == Quaternion(0, Fraction(1, 2), 0, 0)
 
 
+@pytest.mark.parametrize("value", [0, 1, -3, Fraction(1, 2), Fraction(-7, 3)])
+def test_real_quaternion_hashes_like_the_rational_it_equals(value):
+    q = Quaternion(value)
+    assert q == value and hash(q) == hash(value)
+    assert {q: "v"}.get(value) == "v" and len({q, value}) == 1
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        lambda: Quaternion(1) + "a",
+        lambda: Quaternion(1) - "a",
+        lambda: "a" - Quaternion(1),
+        lambda: "a" * Quaternion(1),
+        # a plain tuple must not concatenate with the private layout
+        lambda: (1, 2) + Quaternion(1),
+    ],
+    ids=["add-str", "sub-str", "rsub-str", "rmul-str", "radd-tuple"],
+)
+def test_operands_other_than_rationals_raise_type_error(operation):
+    with pytest.raises(TypeError):
+        operation()
+
+
 @pytest.mark.parametrize("component", [0.5, "1", None])
 def test_components_must_be_exact_rationals(component):
     with pytest.raises(TypeError, match="quaternion components must be exact rationals"):

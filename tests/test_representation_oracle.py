@@ -3,13 +3,14 @@ exhaustive definitions.
 
 ``FiniteMonoid`` decides associativity by Light's test on a generating set,
 and ``validate_representation`` and ``check_morphism`` test their laws on
-the generators only.  The oracles here scan every triple, pair and point;
-the properties draw small tables, valid and with one corrupted entry,
-including transformation monoids that need several generators.
+the generators only; ``classify`` reads each point's images once.  The
+oracles here scan every triple, pair and point; the properties draw small
+tables, valid and with one corrupted entry, including transformation
+monoids that need several generators.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skewlin import (
     FiniteMonoid,
@@ -17,7 +18,9 @@ from skewlin import (
     InvalidMorphismError,
     InvalidRepresentationError,
     RepMorphism,
+    RepresentationTraits,
     check_morphism,
+    classify,
     cyclic_monoid,
     decompose_morphism,
     validate_representation,
@@ -65,6 +68,21 @@ def is_morphism(morphism):
             if big_r[f.action[a][m]] != g.action[r[a]][big_r[m]]:
                 return False
     return True
+
+
+def traits_by_pairs(rep):
+    """Each trait from its definition: distinct elements act distinctly, and
+    the number of elements taking each source point to each target point."""
+    n, size = rep.algebra.size, rep.carrier
+    effective = all(rep.action[a] != rep.action[b] for a in range(n) for b in range(a))
+    witnesses = [
+        sum(1 for a in range(n) if rep.action[a][source] == target)
+        for source in range(size)
+        for target in range(size)
+    ]
+    transitive = all(count > 0 for count in witnesses)
+    unique = all(count == 1 for count in witnesses)
+    return RepresentationTraits(effective, transitive, effective and transitive and unique)
 
 
 def closure_of_unit(monoid):
@@ -200,6 +218,14 @@ def test_light_test_decides_associativity_like_the_full_scan(case):
 @given(representations())
 def test_generator_check_of_a_representation_matches_all_pairs(rep):
     assert validate_representation(rep) == is_representation(rep)
+
+
+@settings(max_examples=200, deadline=None)
+@given(representations())
+# the one-element monoid on no points: every trait holds vacuously
+@example(FiniteRepresentation(FiniteMonoid([[0]], 0), 0, [[]]))
+def test_classify_matches_the_pairwise_definitions(rep):
+    assert classify(rep) == traits_by_pairs(rep)
 
 
 @settings(max_examples=200, deadline=None)
