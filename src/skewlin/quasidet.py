@@ -16,8 +16,24 @@ are quasideterminants (Gelfand, Gelfand, Retakh and Wilson,
 ``x * (kept rows) == b``, for one row ``b``, in two steps: reducing ``b``
 against the echelon rows writes it as ``z * E`` (or leaves a nonzero
 remainder, when ``b`` is outside the row span), and back substitution solves
-``x * L == z``, one sum normalised once per unknown.  A square matrix
-is invertible exactly when the pass keeps every row.  :func:`solve_nonsingular`
+``x * L == z``.  It runs over the integers.  Scaled by the lcm ``r_t`` of
+its denominators on the pivot columns, kept row ``t`` is integral there, and
+the prefix Study determinants of the scaled rows,
+
+    D_0 = 1,   D_{t+1} = D_t * r_t^2 * N(pi_t) = D_t * N(r_t * pi_t),
+
+are integers.  By Sylvester's identity in quasideterminant form (Gelfand,
+Gelfand, Retakh and Wilson), ``D_{t+1}`` clears the denominators of
+``pi_t^-1``, of the scaled multipliers ``r_k * lambda_kt * pi_t^-1 / r_t``
+and, for an integral ``b``, of ``z_t * pi_t^-1``, and ``D_n`` those of the
+solution.  :func:`_factor` scales these quantities to integers once per
+matrix; :func:`_back_substitute` then solves with one sum of integer products
+over ``D_{j+1}`` and one exact division per unknown, and normalises each
+entry of the result with one gcd, where rational sums would pay a gcd per
+term and a last one at over twice the result's size.  Every exact division
+is checked: a remainder raises an ``internal:``
+:class:`SingularMatrixError`, never a wrong value.  A square matrix is
+invertible exactly when the pass keeps every row.  :func:`solve_nonsingular`
 is the one nonsingular solve: it checks that, factors ``a`` once and solves
 ``x * a == b`` for each row ``b``.  :func:`rc_inverse` is its solution for
 the identity, automatically two-sided because one-sided inverses coincide in
@@ -53,9 +69,11 @@ place of the ``n^2`` eliminations and ``O(n^5)`` work of one
 :func:`rc_quasideterminant` call per position.
 """
 
+from math import lcm
+
 from .errors import DimensionMismatch, SingularMatrixError
 from .matrix import Matrix, rc_product
-from .quaternion import Quaternion, _dot, _sub_mul
+from .quaternion import Quaternion, _build, _dot, _sub_mul
 
 
 def _eliminate_rows(a):
@@ -119,44 +137,156 @@ def _reduce(entries, echelon):
     return leads
 
 
-def _factor(kept, echelon, scales, leads):
-    """The factors ``(echelon, scales, below)`` that :func:`_solve_row`
-    solves with.  ``below[j]`` lists ``(k, -mu_kj)`` for the kept rows ``k``
-    whose reduction met echelon row ``j`` with the lead ``lambda_kj``, where
-    ``mu_kj = lambda_kj * pi_j^-1``: column ``j`` of ``L`` below its
-    diagonal, divided on the right by the diagonal entry once here rather
-    than once per solve, and negated so that back substitution is a plain
-    sum."""
-    below = [[] for _ in kept]
-    for k, p in enumerate(kept):
+def _quotient(nw, nx, ny, nz, den, what):
+    """The four integers ``n / den``.  A division with a remainder raises
+    an internal :class:`SingularMatrixError` naming ``what``; no value is
+    returned."""
+    qw, rw = divmod(nw, den)
+    qx, rx = divmod(nx, den)
+    qy, ry = divmod(ny, den)
+    qz, rz = divmod(nz, den)
+    if rw or rx or ry or rz:
+        raise SingularMatrixError(f"internal: {what} is not integral")
+    return qw, qx, qy, qz
+
+
+def _integral_product(scale, q, p, divisor, what):
+    """The four integers ``scale * q * p / divisor``, for integers ``scale``
+    and ``divisor``, a quaternion ``q`` and the numerators ``p`` of an
+    integral quaternion.  When the denominator of ``q`` times ``divisor``
+    divides ``scale`` the product is integral as it stands; otherwise each
+    numerator is divided by :func:`_quotient`."""
+    a, b, c, d, den = q
+    e, f, g, h = p
+    w = a * e - b * f - c * g - d * h
+    x = a * f + b * e + c * h - d * g
+    y = a * g - b * h + c * e + d * f
+    z = a * h + b * g - c * f + d * e
+    den *= divisor
+    s, rest = divmod(scale, den)
+    if not rest:
+        return s * w, s * x, s * y, s * z
+    return _quotient(scale * w, scale * x, scale * y, scale * z, den, what)
+
+
+def _denominator(entries, columns):
+    """The lcm of the denominators of ``entries`` on ``columns``: the least
+    positive integer that makes them integral there."""
+    return lcm(*[entries[c][4] for c in columns])
+
+
+def _factor(a, kept, echelon, scales, leads):
+    """The integral factors ``(echelon, columns, row_scales, dets, inverses,
+    below)`` of the kept rows of ``a`` that :func:`_back_substitute` solves
+    with.
+
+    ``columns`` lists the pivot columns.  ``row_scales[t]`` is ``r_t``, the
+    lcm of the denominators of kept row ``t`` on them, so the rows ``r_t *
+    (kept row t)`` are integral there; they factor as ``(R L) E`` with the
+    pivots ``r_t pi_t`` and the multipliers ``r_k lambda_kt``.
+    ``dets[t]`` is ``D_{t+1}``, the Study determinant of the first ``t + 1``
+    of them on the pivot columns:
+
+        D_0 = 1,  D_{t+1} = D_t * r_t^2 * N(pi_t).
+
+    By Sylvester's identity in quasideterminant form, ``D_{t+1}`` clears the
+    denominators of ``pi_t^-1`` and of ``r_k * mu_kt / r_t``, where ``mu_kt
+    = lambda_kt * pi_t^-1``.  With ``pi_t^-1 = (w, x, y, z) / e`` in lowest
+    terms, ``N(pi_t)`` is ``e^2 / (w^2 + x^2 + y^2 + z^2)`` and ``e``
+    divides ``D_{t+1}``, so one exact division gives the small ``c = D_{t+1}
+    / e``, and ``inverses[t]`` holds ``c * (w, x, y, z)``, the numerators of
+    ``P_t = D_{t+1} * pi_t^-1``.  ``below[j]`` lists ``(k, M_kj)`` with
+
+        M_kj = -r_k * lambda_kj * P_j = -r_k * D_{j+1} * mu_kj,
+
+    for the kept rows ``k`` whose reduction met echelon row ``j`` with the
+    lead ``lambda_kj``: column ``j`` of ``L`` below its diagonal, divided on
+    the right by the diagonal entry and scaled to an integral quaternion
+    once here rather than once per solve.  Every division is exact, and
+    checked."""
+    cells = a.cells
+    columns = [pivot for pivot, _, _ in echelon]
+    det = 1
+    row_scales, dets, inverses, below = [], [], [], []
+    for k, (p, (w, x, y, z, e)) in enumerate(zip(kept, scales)):
+        r = _denominator(cells[p], columns)
+        # row k met only the echelon rows kept before it
         for j, lead in leads[p]:
-            below[j].append((k, -(lead * scales[j])))
-    return echelon, scales, below
+            below[j].append((k, _integral_product(-r, lead, inverses[j], 1, "a scaled multiplier")))
+        c, rest = divmod(det * r * r * e, w * w + x * x + y * y + z * z)
+        if rest:
+            raise SingularMatrixError("internal: a prefix Study determinant is not integral")
+        det = c * e
+        row_scales.append(r)
+        dets.append(det)
+        inverses.append((c * w, c * x, c * y, c * z))
+        below.append([])
+    return echelon, columns, row_scales, dets, inverses, below
 
 
-def _back_substitute(z, factor):
+def _back_substitute(z, entries, factor):
     """The row ``y`` (a list in kept order) with ``y * L == z``, for ``z``
-    given as ``(t, value)`` pairs of its nonzero entries.  ``L`` is lower
-    triangular, so going backwards each unknown is one sum
+    given as ``(t, value)`` pairs of its nonzero entries: the coordinates on
+    the echelon rows of the row ``entries``.  ``L`` is lower triangular, so
+    going backwards each unknown is
 
-        y_j = z_j * pi_j^-1 - sum over k > j of y_k * mu_kj
+        y_j = z_j * pi_j^-1 - sum over k > j of y_k * mu_kj.
 
-    normalised once by :func:`_dot`."""
-    _, scales, below = factor
+    This runs on the integral factors of :func:`_factor`.  With ``d`` the
+    lcm of the denominators of ``entries`` on the pivot columns and ``D =
+    D_n``, the right-hand side enters as the integral ``W_j = d * z_j *
+    P_j`` and the unknowns as the integers ``Y_j = D * d * y_j / r_j``:
+
+        Y_j = (D * W_j + sum over k > j of Y_k * M_kj) / (r_j * D_{j+1}),
+
+    one sum of integer products over ``D_{j+1}`` and one exact division per
+    unknown (for the last, ``Y_j = W_j / r_j``).  ``D * d`` is a common
+    denominator of the solution, so each entry ``y_j = r_j * Y_j / (D * d)``
+    is normalised with one gcd; the first unknown's sum, which no other
+    unknown needs, goes to that gcd undivided, over ``D_1 * D * d``.  Every
+    division is exact and checked."""
+    _, columns, row_scales, dets, inverses, below = factor
+    last = len(row_scales) - 1
+    if last < 0:
+        return []
+    scale = _denominator(entries, columns)
+    top = dets[last]
+    den = top * scale
     zero = Quaternion.zero()
-    z = dict(z)
-    y = [zero] * len(scales)
-    for j in reversed(range(len(scales))):
-        left, right = [], []
-        if j in z:
-            left.append(z[j])
-            right.append(scales[j])
-        for k, minus_mu in below[j]:
-            if not y[k].is_zero():
-                left.append(y[k])
-                right.append(minus_mu)
-        if left:
-            y[j] = _dot(left, right)
+    y = [zero] * (last + 1)
+    integral = [None] * (last + 1)  # Y_j, which the earlier unknowns' sums need
+    sums = [None] * (last + 1)
+    for j, value in z:
+        if j < last:
+            w = _integral_product(scale, value, inverses[j], 1, "a scaled right-hand side")
+            sums[j] = (top * w[0], top * w[1], top * w[2], top * w[3])
+        elif j:
+            r = row_scales[j]
+            yw, yx, yy, yz = integral[j] = _integral_product(
+                scale, value, inverses[j], r, "a back-substituted unknown")
+            y[j] = _build(r * yw, r * yx, r * yy, r * yz, den)
+        else:
+            w = _integral_product(scale, value, inverses[j], 1, "a scaled right-hand side")
+            y[j] = _build(*w, den)
+    for j in reversed(range(last)):
+        sw, sx, sy, sz = sums[j] or (0, 0, 0, 0)
+        for k, (e, f, g, h) in below[j]:
+            if integral[k] is None:
+                continue
+            a, b, c, d = integral[k]
+            sw += a * e - b * f - c * g - d * h
+            sx += a * f + b * e + c * h - d * g
+            sy += a * g - b * h + c * e + d * f
+            sz += a * h + b * g - c * f + d * e
+        if not (sw or sx or sy or sz):
+            continue
+        if j:
+            r = row_scales[j]
+            yw, yx, yy, yz = integral[j] = _quotient(
+                sw, sx, sy, sz, r * dets[j], "a back-substituted unknown")
+            y[j] = _build(r * yw, r * yx, r * yy, r * yz, den)
+        else:
+            y[j] = _build(sw, sx, sy, sz, dets[0] * den)
     return y
 
 
@@ -165,11 +295,11 @@ def _solve_row(entries, factor):
     ``y * (kept rows) == entries``; None when ``entries`` is outside their
     left row span.  Reducing ``entries`` against the echelon rows ``E``
     writes it as ``z * E``, and ``y`` solves ``y * L == z``."""
-    entries = list(entries)
-    z = _reduce(entries, factor[0])
-    if not all(e.is_zero() for e in entries):
+    rest = list(entries)
+    z = _reduce(rest, factor[0])
+    if not all(e.is_zero() for e in rest):
         return None
-    return _back_substitute(z, factor)
+    return _back_substitute(z, entries, factor)
 
 
 def solve_nonsingular(a, b):
@@ -183,7 +313,7 @@ def solve_nonsingular(a, b):
     kept, echelon, scales, leads = _eliminate_rows(a)
     if len(kept) < a.rows:
         raise SingularMatrixError(f"matrix {a} is singular")
-    factor = _factor(kept, echelon, scales, leads)
+    factor = _factor(a, kept, echelon, scales, leads)
     if b.cols != a.rows:
         raise DimensionMismatch(f"rc product needs {b.shape} x {a.shape} inner match")
     return Matrix([_solve_row(row, factor) for row in b.cells], cols=a.rows)

@@ -153,7 +153,7 @@ def solve_general(a, b):
     # dependent, and reducing it against the final echelon rows gives its
     # multipliers
     leads += [_reduce(list(row), echelon) for row in a.cells[len(leads):]]
-    factor = _factor(kept, echelon, scales, leads)
+    factor = _factor(a, kept, echelon, scales, leads)
     independent = set(kept)
     dependent = [p for p in range(a.rows) if p not in independent]
     free = tuple(p + 1 for p in dependent)
@@ -161,7 +161,8 @@ def solve_general(a, b):
     # its own multipliers, so e_p - y annihilates a
     one = Quaternion.one()
     basis = tuple(
-        _on_rows(kept + [p], [-c for c in _back_substitute(leads[p], factor)] + [one], a)
+        _on_rows(kept + [p],
+                 [-c for c in _back_substitute(leads[p], a.cells[p], factor)] + [one], a)
         for p in dependent
     )
     x = _solve_row(b.cells[0], factor)

@@ -41,8 +41,11 @@ class BasisModel:
 
 def expand_in_basis(v, basis):
     """Coordinates of the row ``v`` relative to ``basis``: the unique ``x``
-    with ``x * E == v``.  Raises :class:`SingularMatrixError` when the
-    claimed basis is not one."""
+    with ``x * E == v``.  A basis of ``n``-space is ``n`` independent rows,
+    so a claimed basis that is not one raises :class:`DimensionMismatch`
+    when its matrix is not square and :class:`SingularMatrixError` when its
+    rows are dependent.  A ``v`` that is not a row of the basis width also
+    raises :class:`DimensionMismatch`."""
     return solve_nonsingular(basis.matrix, v)
 
 

@@ -17,6 +17,12 @@ exceptions on every square matrix of order at most 5, under both products.
 ``rc_quasideterminant`` call per position (the function checked above), the
 definition that the library's one elimination per row must reproduce, value
 for value and message for message, up to order 8.
+
+``rational_factor`` and ``rational_back_substitute`` are the rational back
+substitution that the library's integer one replaced, and the solvers built
+on them the definition that ``rc_inverse``, ``solve_nonsingular``,
+``row_dependence`` and ``solve_general`` must reproduce up to order 9, on
+rational, 20-to-80-digit and half-rank matrices.
 """
 
 import random
@@ -24,7 +30,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import skewlin as lib
 from skewlin import (
@@ -38,6 +44,9 @@ from skewlin import (
     cr_product,
     rc_product,
 )
+from skewlin.quasidet import _eliminate_rows, _reduce
+from skewlin.quaternion import _dot
+from skewlin.rank import SolutionSet, _on_rows
 from skewlin.sampling import (
     random_matrix,
     random_nonsingular_matrix,
@@ -570,3 +579,178 @@ def test_back_substitution_above_oracle_sizes_on_big_entries(n):
     b = Matrix.row([_entry(rng, 60) for _ in range(n)])
     assert schoolbook_product(lib.solve_nonsingular(a, b), a) == b
     _check_half_rank(rng, n, 60)
+
+
+# -- the integer back substitution against the rational one ---------------------
+#
+# The library solves ``x * L == z`` over the integers, on the prefix Study
+# determinants of the kept rows.  The rational back substitution it replaced
+# is kept here, verbatim apart from its names, as the slow definition:
+# ``rational_factor`` divides each multiplier by its pivot once (``mu``), and
+# ``rational_back_substitute`` sums each unknown with ``_dot``.  The solvers
+# built on it, ``rational_solve_nonsingular`` and ``rational_solve_general``,
+# repeat the library's own on the same forward pass.
+
+
+def rational_factor(kept, echelon, scales, leads):
+    below = [[] for _ in kept]
+    for k, p in enumerate(kept):
+        for j, lead in leads[p]:
+            below[j].append((k, -(lead * scales[j])))
+    return echelon, scales, below
+
+
+def rational_back_substitute(z, factor):
+    _, scales, below = factor
+    zero = Quaternion.zero()
+    z = dict(z)
+    y = [zero] * len(scales)
+    for j in reversed(range(len(scales))):
+        left, right = [], []
+        if j in z:
+            left.append(z[j])
+            right.append(scales[j])
+        for k, minus_mu in below[j]:
+            if not y[k].is_zero():
+                left.append(y[k])
+                right.append(minus_mu)
+        if left:
+            y[j] = _dot(left, right)
+    return y
+
+
+def rational_solve_row(entries, factor):
+    entries = list(entries)
+    z = _reduce(entries, factor[0])
+    if not all(e.is_zero() for e in entries):
+        return None
+    return rational_back_substitute(z, factor)
+
+
+def rational_solve_nonsingular(a, b):
+    if not a.is_square:
+        raise DimensionMismatch(f"only square matrices invert, got {a.shape}")
+    kept, echelon, scales, leads = _eliminate_rows(a)
+    if len(kept) < a.rows:
+        raise SingularMatrixError(f"matrix {a} is singular")
+    factor = rational_factor(kept, echelon, scales, leads)
+    if b.cols != a.rows:
+        raise DimensionMismatch(f"rc product needs {b.shape} x {a.shape} inner match")
+    return Matrix([rational_solve_row(row, factor) for row in b.cells], cols=a.rows)
+
+
+def rational_rc_inverse(a):
+    return rational_solve_nonsingular(a, Matrix.identity(a.rows))
+
+
+def rational_row_dependence(a, report, p):
+    entries = a.row_entries(p)
+    if report.rank == 0:
+        return Matrix.zeros(1, 0)
+    sel = report.minor
+    if p in sel.rows:
+        raise InvalidRowError(f"row {p} belongs to the major minor {sel.rows}")
+    core = a.minor(sel.rows, sel.cols)
+    outside = [entries[t - 1] for t in sel.cols]
+    return rational_solve_nonsingular(core, Matrix.row(outside))
+
+
+def rational_solve_general(a, b):
+    if b.rows != 1 or b.cols != a.cols:
+        raise DimensionMismatch(
+            f"right-hand side must be 1 x {a.cols}, got {b.shape}"
+        )
+    kept, echelon, scales, leads = _eliminate_rows(a)
+    leads += [_reduce(list(row), echelon) for row in a.cells[len(leads):]]
+    factor = rational_factor(kept, echelon, scales, leads)
+    independent = set(kept)
+    dependent = [p for p in range(a.rows) if p not in independent]
+    free = tuple(p + 1 for p in dependent)
+    one = Quaternion.one()
+    basis = tuple(
+        _on_rows(kept + [p], [-c for c in rational_back_substitute(leads[p], factor)] + [one], a)
+        for p in dependent
+    )
+    x = rational_solve_row(b.cells[0], factor)
+    if x is None:
+        return SolutionSet(False, None, basis, free)
+    particular = _on_rows(kept, x, a)
+    if rc_product(particular, a) != b:
+        raise SingularMatrixError("internal: particular solution fails x * a == b")
+    return SolutionSet(True, particular, basis, free)
+
+
+def _integers(digits):
+    return st.integers(min_value=-10**digits, max_value=10**digits)
+
+
+def _rows(draw, count, n, entries):
+    return draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=count, max_size=count))
+
+
+def _combination(draw, rows):
+    """A left combination of ``rows`` with drawn coefficients."""
+    coefficients = _rows(draw, 1, len(rows), _quaternions)[0]
+    return [
+        sum((c * row[j] for c, row in zip(coefficients, rows)), Quaternion.zero())
+        for j in range(len(rows[0]))
+    ]
+
+
+@st.composite
+def _systems(draw):
+    """An n x n matrix, n at most 9, of one of three kinds, with two
+    right-hand sides: a left combination of its rows and a free row.
+
+    * rational entries over mixed denominators;
+    * integer entries of 20 to 80 digits;
+    * half rank: the odd-numbered rows (1-based) have rational entries and
+      every even-numbered one is a left combination of the rows above it,
+      so that kept and dependent rows interleave.
+    """
+    kind = draw(st.sampled_from(("rational", "digits", "half rank")))
+    n = draw(st.integers(min_value=1, max_value=9))
+    if kind == "digits":
+        entries = st.builds(Quaternion, *[_integers(draw(st.integers(20, 80)))] * 4)
+    else:
+        entries = _quaternions
+    if kind == "half rank":
+        rows = []
+        for i in range(n):
+            rows.append(_rows(draw, 1, n, entries)[0] if i % 2 == 0
+                        else _combination(draw, rows[::2]))
+    else:
+        rows = _rows(draw, n, n, entries)
+    a = Matrix(rows, cols=n)
+    return a, Matrix.row(_combination(draw, rows)), Matrix.row(_rows(draw, 1, n, entries)[0])
+
+
+def _system_example(kind, seed):
+    """A 9 x 9 system of each kind, the largest the strategy draws."""
+    rng = random.Random(seed)
+    digits = 80 if kind == "digits" else None
+    if kind == "half rank":
+        a = _half_rank(rng, 9, digits)
+    else:
+        a = Matrix([[_entry(rng, digits) for _ in range(9)] for _ in range(9)], cols=9)
+    return (a, Matrix.row(_left_combination(rng, a.cells)),
+            Matrix.row([_entry(rng, digits) for _ in range(9)]))
+
+
+@given(_systems())
+@example(_system_example("rational", 1))
+@example(_system_example("digits", 2))
+@example(_system_example("half rank", 3))
+@settings(max_examples=40)
+def test_integer_back_substitution_matches_rational(system):
+    a, consistent, free = system
+    both = Matrix(list(consistent.cells) + list(free.cells), cols=a.cols)
+    assert outcome(lib.rc_inverse, a) == outcome(rational_rc_inverse, a)
+    assert outcome(lib.solve_nonsingular, a, both) == outcome(rational_solve_nonsingular, a, both)
+    report = lib.rc_rank(a)
+    for p in range(1, a.rows + 1):
+        expected = outcome(rational_row_dependence, a, report, p)
+        assert outcome(lib.row_dependence, a, report, p) == expected
+    for b in (consistent, free):
+        assert outcome(lib.solve_general, a, b) == outcome(rational_solve_general, a, b)

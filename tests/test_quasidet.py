@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from skewlin import (
@@ -18,9 +21,11 @@ from skewlin import (
     rc_product,
     rc_quasideterminant,
 )
+from skewlin import quasidet
 from skewlin.sampling import (
     random_nonsingular_matrix,
     random_quaternion,
+    random_row,
     random_singular_family_member,
 )
 
@@ -218,3 +223,82 @@ def test_scalar_conjugation_sanity(rng):
     q = random_quaternion(rng, nonzero=True)
     a = random_quaternion(rng)
     assert (q * a * q.inverse()).norm() == a.norm()
+
+
+# -- the exact divisions of the integer back substitution ------------------------
+#
+# Each division that the integer back substitution takes to be exact is
+# checked.  Corrupting the factor it divides raises the internal error
+# instead of returning a wrong value.  There is no division of its own for
+# ``P_t = D_{t+1} * pi_t^-1``: it is the determinant's exact quotient ``c``
+# times the numerators of ``pi_t^-1``, so a corrupt pivot inverse is caught
+# by the determinant's check.
+
+_PRIME = 1000003
+
+
+def _raises_internal(what, call):
+    returned = None
+    with pytest.raises(SingularMatrixError, match=f"^internal: {what} is not integral$"):
+        returned = call()
+    assert returned is None
+
+
+def _system(seed, n=3):
+    """A nonsingular matrix with rational entries, its elimination and one
+    row's coordinates on the echelon rows."""
+    rng = random.Random(seed)
+    a = random_nonsingular_matrix(rng, n, bound=4)
+    kept, echelon, scales, leads = quasidet._eliminate_rows(a)
+    entries = random_row(rng, n, bound=4).cells[0]
+    z = quasidet._reduce(list(entries), echelon)
+    assert len(z) == n  # every unknown has a right-hand side
+    return a, (kept, echelon, scales, leads), entries, z
+
+
+def test_uncorrupted_factor_solves():
+    a, elimination, entries, z = _system(1)
+    factor = quasidet._factor(a, *elimination)
+    x = Matrix.row(quasidet._back_substitute(z, entries, factor))
+    assert rc_product(x, a) == Matrix.row(entries)
+
+
+def test_prefix_determinant_division_is_checked():
+    a, (kept, echelon, scales, leads), _, _ = _system(2)
+    scales = scales[:1] + [scales[1] * _PRIME] + scales[2:]
+    _raises_internal("a prefix Study determinant",
+                     lambda: quasidet._factor(a, kept, echelon, scales, leads))
+
+
+def test_multiplier_division_is_checked():
+    a, (kept, echelon, scales, leads), _, _ = _system(3)
+    leads = list(leads)
+    (j, lead), *rest = leads[kept[1]]
+    leads[kept[1]] = [(j, lead * Quaternion(Fraction(1, _PRIME)))] + rest
+    _raises_internal("a scaled multiplier",
+                     lambda: quasidet._factor(a, kept, echelon, scales, leads))
+
+
+def test_right_hand_side_division_is_checked():
+    a, elimination, entries, z = _system(4)
+    factor = quasidet._factor(a, *elimination)
+    (j, value), *rest = sorted(z, key=lambda pair: pair[0])
+    assert j < a.rows - 1
+    z = [(j, value * Quaternion(Fraction(1, _PRIME)))] + rest
+    _raises_internal("a scaled right-hand side",
+                     lambda: quasidet._back_substitute(z, entries, factor))
+
+
+@pytest.mark.parametrize("corrupt", ["inner determinant", "last row scale"])
+def test_unknown_division_is_checked(corrupt):
+    a, elimination, entries, z = _system(5)
+    echelon, columns, row_scales, dets, inverses, below = quasidet._factor(a, *elimination)
+    if corrupt == "inner determinant":
+        # the middle unknown's sum is divided by r_1 * (D_2 + 1)
+        dets = dets[:1] + [dets[1] + 1] + dets[2:]
+    else:
+        # the last unknown is W_2 / r_2
+        row_scales = row_scales[:2] + [row_scales[2] * _PRIME]
+    factor = (echelon, columns, row_scales, dets, inverses, below)
+    _raises_internal("a back-substituted unknown",
+                     lambda: quasidet._back_substitute(z, entries, factor))

@@ -2,6 +2,7 @@ import pytest
 
 from skewlin import (
     BasisModel,
+    DimensionMismatch,
     I,
     J,
     K,
@@ -44,6 +45,21 @@ def test_dependent_rows_are_not_a_basis(example_matrix):
     with pytest.raises(SingularMatrixError):
         expand_in_basis(Matrix.row([K, -I]), BasisModel(example_matrix))
     assert not is_independent(BasisModel(example_matrix).matrix)
+
+
+def test_non_square_rows_are_not_a_basis():
+    # two independent rows in 3-space span a plane, not the space
+    one, zero = Quaternion.one(), Quaternion.zero()
+    plane = BasisModel(Matrix([[one, zero, zero], [zero, one, zero]]))
+    assert is_independent(plane.matrix)
+    with pytest.raises(DimensionMismatch, match=r"^only square matrices invert, got \(2, 3\)$"):
+        expand_in_basis(Matrix.row([one, one, zero]), plane)
+
+
+def test_expansion_needs_a_row_of_the_basis_width():
+    message = r"^rc product needs \(1, 2\) x \(3, 3\) inner match$"
+    with pytest.raises(DimensionMismatch, match=message):
+        expand_in_basis(Matrix.row([I, J]), BasisModel(Matrix.identity(3)))
 
 
 def test_expansion_uniqueness(rng):
