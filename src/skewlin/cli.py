@@ -8,7 +8,9 @@ singular matrix from a typo:
 * 1 mathematical error (singular / undefined / inconsistent),
 * 2 input error (parse failure, bad flags, incompatible shapes),
 
-with a one-line ``error: <code>[: detail]`` diagnostic on stderr.
+with a one-line ``error: <code>[: detail]`` diagnostic on stderr.  A failed
+self-check of the exact kernel, which no input should cause, reports
+``error: internal: <detail>`` with status 1.
 """
 
 import argparse
@@ -285,8 +287,11 @@ def run(argv, out=None, err=None):
         args.run(args, out)
     except MathError as exc:
         return _fail(err, 1, exc.code)
-    except SingularMatrixError:
-        return _fail(err, 1, "singular")
+    except SingularMatrixError as exc:
+        # a kernel self-check that failed is a fault of the program, not
+        # a property of the matrix, and says so
+        detail = str(exc)
+        return _fail(err, 1, detail if detail.startswith("internal:") else "singular")
     except ParseError as exc:
         return _fail(err, 2, f"parse: {exc}")
     except DimensionMismatch as exc:

@@ -73,7 +73,7 @@ from math import lcm
 
 from .errors import DimensionMismatch, SingularMatrixError
 from .matrix import Matrix, rc_product
-from .quaternion import Quaternion, _build, _dot, _sub_mul
+from .quaternion import _WIDE, Quaternion, _build, _dot, _product, _sub_mul
 
 
 def _eliminate_rows(a):
@@ -158,11 +158,14 @@ def _integral_product(scale, q, p, divisor, what):
     numerator is divided by :func:`_quotient`."""
     a, b, c, d, den = q
     e, f, g, h = p
-    w = a * e - b * f - c * g - d * h
-    x = a * f + b * e + c * h - d * g
-    y = a * g - b * h + c * e + d * f
-    z = a * h + b * g - c * f + d * e
     den *= divisor
+    if den > _WIDE:
+        w, x, y, z = _product(a, b, c, d, e, f, g, h)
+    else:
+        w = a * e - b * f - c * g - d * h
+        x = a * f + b * e + c * h - d * g
+        y = a * g - b * h + c * e + d * f
+        z = a * h + b * g - c * f + d * e
     s, rest = divmod(scale, den)
     if not rest:
         return s * w, s * x, s * y, s * z
@@ -252,6 +255,7 @@ def _back_substitute(z, entries, factor):
     scale = _denominator(entries, columns)
     top = dets[last]
     den = top * scale
+    wide = den > _WIDE  # the width of the integers Y_k = D_n * d * y_k / r_k
     zero = Quaternion.zero()
     y = [zero] * (last + 1)
     integral = [None] * (last + 1)  # Y_j, which the earlier unknowns' sums need
@@ -274,10 +278,17 @@ def _back_substitute(z, entries, factor):
             if integral[k] is None:
                 continue
             a, b, c, d = integral[k]
-            sw += a * e - b * f - c * g - d * h
-            sx += a * f + b * e + c * h - d * g
-            sy += a * g - b * h + c * e + d * f
-            sz += a * h + b * g - c * f + d * e
+            if wide:
+                pw, px, py, pz = _product(a, b, c, d, e, f, g, h)
+                sw += pw
+                sx += px
+                sy += py
+                sz += pz
+            else:
+                sw += a * e - b * f - c * g - d * h
+                sx += a * f + b * e + c * h - d * g
+                sy += a * g - b * h + c * e + d * f
+                sz += a * h + b * g - c * f + d * e
         if not (sw or sx or sy or sz):
             continue
         if j:

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+import skewlin.quasidet
 from skewlin import (
     Matrix,
+    SingularMatrixError,
     check_morphism,
     cr_product,
     morphism_from_json,
@@ -92,6 +94,16 @@ def test_inv_singular_diagnostic():
     assert status == 1
     assert err.strip() == "error: singular"
     assert out == ""
+
+
+def test_kernel_self_check_failure_is_not_reported_as_singular(monkeypatch):
+    def failing_quotient(nw, nx, ny, nz, den, what):
+        raise SingularMatrixError(f"internal: {what} is not integral")
+
+    monkeypatch.setattr(skewlin.quasidet, "_quotient", failing_quotient)
+    status, out, err = invoke(["inv", "[1, i, 0; j, 2, k; 1/2, 1, 3]"])
+    assert (status, out) == (1, "")
+    assert err == "error: internal: a back-substituted unknown is not integral\n"
 
 
 def test_inv_text_output_roundtrips():

@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from skewlin import I, J, K, ParseError, Quaternion, parse_quaternion
-from skewlin.quaternion import _dot, _sub_mul
+from skewlin.quaternion import _WIDE, _dot, _product, _sub_mul
 
 rationals = st.fractions(
     min_value=-9, max_value=9, max_denominator=9
@@ -248,3 +249,87 @@ def test_dot_is_left_fold_of_products(pairs):
     fused = _dot(left, right)
     assert type(fused) is Quaternion
     assert tuple(fused) == tuple(total)
+
+
+# -- the eight-multiplication product ------------------------------------------
+
+
+def schoolbook(a, b, c, d, e, f, g, h):
+    """The four numerators of the Hamilton product by its sixteen products."""
+    return (
+        a * e - b * f - c * g - d * h,
+        a * f + b * e + c * h - d * g,
+        a * g - b * h + c * e + d * f,
+        a * h + b * g - c * f + d * e,
+    )
+
+
+@st.composite
+def wide_integers(draw, min_bits=0, max_bits=20_000):
+    """An integer of ``min_bits`` to ``max_bits`` bits (zero for 0 bits), of
+    either sign, with every bit length equally likely.  The bits come from a
+    drawn seed: Hypothesis's own draw of a 20,000-bit integer would overrun
+    its buffer."""
+    bits = draw(st.integers(min_bits, max_bits))
+    magnitude = random.Random(draw(st.integers(0, 2**32))).getrandbits(bits) | (1 << bits >> 1)
+    return magnitude if draw(st.booleans()) else -magnitude
+
+
+# components just below and just above the size at which the callers switch
+# to _product, with every sign pattern the two halves of the formula meet
+_NEAR = (_WIDE - 1, -(_WIDE - 1), _WIDE + 1, -(_WIDE + 1))
+
+
+@given(*[st.one_of(st.just(0), wide_integers())] * 8)
+@example(*[_WIDE - 1] * 8)
+@example(*[_WIDE + 1] * 8)
+@example(*_NEAR, *reversed(_NEAR))
+@example(_WIDE - 1, 0, -(_WIDE + 1), 0, 0, _WIDE + 1, 0, -(_WIDE - 1))
+def test_product_matches_schoolbook(a, b, c, d, e, f, g, h):
+    assert _product(a, b, c, d, e, f, g, h) == schoolbook(a, b, c, d, e, f, g, h)
+
+
+def hamilton(p, q):
+    """``p * q`` by the definition, on the Fraction components."""
+    a, b, c, d = p.w, p.x, p.y, p.z
+    e, f, g, h = q.w, q.x, q.y, q.z
+    return (
+        a * e - b * f - c * g - d * h,
+        a * f + b * e + c * h - d * g,
+        a * g - b * h + c * e + d * f,
+        a * h + b * g - c * f + d * e,
+    )
+
+
+def components(q):
+    return (q.w, q.x, q.y, q.z)
+
+
+# 300 to 1,200 digits: numerators of 997 to 4,000 bits, zero or of either
+# sign, over 1 (an integral product, which stays on the inline path) or a
+# denominator of the same size (whose products take _product)
+_wide_numerators = st.one_of(st.just(0), wide_integers(997, 4_000))
+wide_quaternions = st.builds(
+    lambda nums, den: Quaternion(*(Fraction(n, den) for n in nums)),
+    st.tuples(*[_wide_numerators] * 4),
+    st.one_of(st.just(1), wide_integers(997, 4_000).map(abs)),
+)
+# a product over exactly _WIDE, the largest denominator of the inline path,
+# and one over _WIDE + 1, the smallest of _product's
+_BELOW = Quaternion(Fraction(_WIDE - 1, _WIDE), -1, Fraction(-3, _WIDE), 10**300)
+_ABOVE = Quaternion(Fraction(_WIDE, _WIDE + 1), -1, Fraction(-3, _WIDE + 1), 10**300)
+_INTEGRAL = Quaternion(10**300 + 7, -(10**301), 3, 10**300)
+
+
+@given(wide_quaternions, st.lists(st.tuples(wide_quaternions, wide_quaternions),
+                                  min_size=1, max_size=4))
+@example(_INTEGRAL, [(_BELOW, _INTEGRAL), (_INTEGRAL, _BELOW)])
+@example(_INTEGRAL, [(_ABOVE, _INTEGRAL), (_INTEGRAL, _ABOVE), (_BELOW, _BELOW)])
+def test_wide_products_match_fraction_oracle(x, pairs):
+    (l, y), *_ = pairs
+    product = hamilton(l, y)
+    assert components(l * y) == product
+    assert components(_sub_mul(x, l, y)) == tuple(u - v for u, v in zip(components(x), product))
+    left, right = zip(*pairs)
+    total = [sum(terms) for terms in zip(*(hamilton(u, v) for u, v in pairs))]
+    assert list(components(_dot(left, right))) == total
