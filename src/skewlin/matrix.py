@@ -185,10 +185,10 @@ def rc_product(a, b):
     row index of ``b``, a-factor on the left of every scalar product."""
     if a.cols != b.rows:
         raise DimensionMismatch(f"rc product needs {a.shape} x {b.shape} inner match")
-    if a.cols == 0 or a.rows == 0 or b.cols == 0:
-        return Matrix.zeros(a.rows, b.cols)
-    columns = list(zip(*b.cells))
-    return Matrix([[_dot(row, col) for col in columns] for row in a.cells])
+    # zip of no rows is empty; a 0 x n factor has n empty columns, and each
+    # entry over an empty contraction is the empty sum, zero
+    columns = list(zip(*b.cells)) if b.rows else [()] * b.cols
+    return Matrix([[_dot(row, col) for col in columns] for row in a.cells], cols=b.cols)
 
 
 def cr_product(a, b):

@@ -32,10 +32,12 @@ exposed as :class:`fractions.Fraction` values.
 A product's four numerators have two forms: the Hamilton formula's sixteen
 multiplications, written out inline, and the eight of :func:`_product`
 (Howell and Lafon), which pays for them in additions and wins only on wide
-numerators.  Each caller picks the form by comparing a denominator it already
-holds with the one constant ``_WIDE``: the product's own here and in
+numerators.  The forward pass and the integer solve pick the form by comparing
+a denominator they already hold with the one constant ``_WIDE``: the
+product's own in ``__mul__``, :func:`_sub_mul` and
 ``quasidet._integral_product``, and the solution's common denominator
-``D_n * d``, once per solve, in ``quasidet._back_substitute``.
+``D_n * d``, once per solve, in ``quasidet._back_substitute``.  :func:`_dot`
+always takes the sixteen: no workload meets a wide dot product.
 
 Text and JSON read and write the tuple directly.  The parser matches one
 compiled pattern per signed term (``_TERM``), tells every malformed input
@@ -236,8 +238,9 @@ class Quaternion(tuple):
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
 
 
-# A product whose denominator exceeds _WIDE takes the eight multiplications
-# of _product; any other, the sixteen written out inline.  _product trades
+# In __mul__, _sub_mul and the integer solve, a product whose denominator
+# exceeds _WIDE takes the eight multiplications of _product; any other, and
+# every term of _dot, the sixteen written out inline.  _product trades
 # multiplications for additions, so it wins only on wide numerators: on
 # CPython 3.11 (x86-64) it takes 1.31 times the inline form's time on 30-bit
 # numerators, 0.95 at 128 bits, 0.77 at 256, 0.57 at 1,000 and about 0.5 from
@@ -325,34 +328,21 @@ def _sub_mul(x, l, y):
 def _dot(left, right):
     """``sum(l * r for l, r in zip(left, right))``, each left factor on the
     left, normalized once: the numerators accumulate over a running
-    denominator, the lcm of the term denominators so far.  A term over the
-    same denominator is added directly; otherwise both sides are scaled by
-    their cofactors over ``gcd(den, term_den)``."""
+    denominator, the lcm of the term denominators so far.  Each term takes
+    the inline sixteen-multiplication product, and the sum and the term are
+    scaled by their cofactors over ``gcd(den, term_den)`` before adding."""
     sw = sx = sy = sz = 0
     den = 1
     for (a, b, c, d, d1), (e, f, g, h, d2) in zip(left, right):
         term_den = d1 * d2
-        if term_den > _WIDE:
-            pw, px, py, pz = _product(a, b, c, d, e, f, g, h)
-        else:
-            pw = a * e - b * f - c * g - d * h
-            px = a * f + b * e + c * h - d * g
-            py = a * g - b * h + c * e + d * f
-            pz = a * h + b * g - c * f + d * e
-        if term_den == den:
-            sw += pw
-            sx += px
-            sy += py
-            sz += pz
-        else:
-            common = gcd(den, term_den)
-            up = term_den // common
-            across = den // common
-            sw = sw * up + pw * across
-            sx = sx * up + px * across
-            sy = sy * up + py * across
-            sz = sz * up + pz * across
-            den *= up
+        common = gcd(den, term_den)
+        up = term_den // common
+        across = den // common
+        sw = sw * up + (a * e - b * f - c * g - d * h) * across
+        sx = sx * up + (a * f + b * e + c * h - d * g) * across
+        sy = sy * up + (a * g - b * h + c * e + d * f) * across
+        sz = sz * up + (a * h + b * g - c * f + d * e) * across
+        den *= up
     return _build(sw, sx, sy, sz, den)
 
 

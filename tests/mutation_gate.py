@@ -1,0 +1,240 @@
+"""Mutation gate: every mutant in ``MUTANTS`` must fail one of its tests.
+
+Run from anywhere with ``python tests/mutation_gate.py``.  Each entry of
+``MUTANTS`` is ``(file, old text, new text, test node ids)``.  For each
+entry the script copies ``src/``, ``tests/`` and ``pyproject.toml`` into a
+fresh temporary directory, replaces the one occurrence of the old text in
+the copied file, and runs the named tests there with pytest, the copied
+``src/`` first on the path.  It exits 1 when a mutant survives (its tests
+pass), when an old text no longer occurs exactly once, when the tests fail
+on an unmutated copy, or when a run imports ``skewlin`` from anywhere but
+its own copy (an editable install would otherwise test the real tree).
+
+Every mutant changes a value or drops a check that a test triggers.  A
+mutant that only forces one side of a size-selected fork leaves every value
+correct, so no test could kill it; there are none here.  Only the standard
+library is used, apart from pytest in the child processes; pytest does not
+collect this file.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+QUATERNION = "src/skewlin/quaternion.py"
+MATRIX = "src/skewlin/matrix.py"
+QUASIDET = "src/skewlin/quasidet.py"
+RANK = "src/skewlin/rank.py"
+REPRESENTATIONS = "src/skewlin/representations.py"
+
+TEST_QUATERNION = "tests/test_quaternion.py::"
+TEST_MATRIX = "tests/test_matrix.py::"
+TEST_ORACLE = "tests/test_elimination_oracle.py::"
+TEST_QUASIDET = "tests/test_quasidet.py::"
+
+MUTANTS = [
+    # _product: one sign in the w numerator
+    (QUATERNION,
+     "        half - t6 + (d - c) * (g - h),",
+     "        half + t6 + (d - c) * (g - h),",
+     [TEST_QUATERNION + "test_product_matches_schoolbook"]),
+    # _product: one factor of t7
+    (QUATERNION,
+     "    t7 = (a + c) * (e - h)",
+     "    t7 = (a + c) * (e + h)",
+     [TEST_QUATERNION + "test_product_matches_schoolbook"]),
+    # Quaternion.__mul__: the wide form with its factors exchanged
+    (QUATERNION,
+     "            return _build(*_product(a, b, c, d, e, f, g, h), den)",
+     "            return _build(*_product(e, f, g, h, a, b, c, d), den)",
+     [TEST_QUATERNION + "test_wide_products_match_fraction_oracle"]),
+    # _sub_mul: the exact division by dl left over dl instead of dy
+    (QUATERNION,
+     "                            return _build(qw, qx, qy, qz, dy)",
+     "                            return _build(qw, qx, qy, qz, dl)",
+     [TEST_ORACLE + "test_kernel_matches_oracle_on_big_entries"]),
+    # _sub_mul: x scaled by the wrong cofactor when dx divides dl * dy
+    (QUATERNION,
+     "        return _build(xw * scale - pw, xx * scale - px,",
+     "        return _build(xw * dx - pw, xx * scale - px,",
+     [TEST_QUATERNION + "test_sub_mul_is_difference_of_product"]),
+    # _dot: the sum's and the term's cofactors swapped
+    (QUATERNION,
+     "        sw = sw * up + (a * e - b * f - c * g - d * h) * across",
+     "        sw = sw * across + (a * e - b * f - c * g - d * h) * up",
+     [TEST_QUATERNION + "test_dot_is_left_fold_of_products"]),
+    # _dot: the running denominator grown by the wrong cofactor
+    (QUATERNION,
+     "        den *= up\n    return _build(sw, sx, sy, sz, den)",
+     "        den *= across\n    return _build(sw, sx, sy, sz, den)",
+     [TEST_QUATERNION + "test_dot_is_left_fold_of_products"]),
+    # rc_product: the factors of each scalar product exchanged
+    (MATRIX,
+     "    return Matrix([[_dot(row, col) for col in columns] for row in a.cells], cols=b.cols)",
+     "    return Matrix([[_dot(col, row) for col in columns] for row in a.cells], cols=b.cols)",
+     [TEST_MATRIX + "test_rc_product_1x1", TEST_ORACLE + "test_products_match_schoolbook_product"]),
+    # rc_product: an empty contraction given the left factor's row count
+    (MATRIX,
+     "    columns = list(zip(*b.cells)) if b.rows else [()] * b.cols",
+     "    columns = list(zip(*b.cells)) if b.rows else [()] * a.rows",
+     [TEST_MATRIX + "test_empty_matrix_products"]),
+    # _quotient: two quotients exchanged
+    (QUASIDET,
+     "    return qw, qx, qy, qz\n",
+     "    return qw, qx, qz, qy\n",
+     [TEST_ORACLE + "test_integer_back_substitution_matches_rational"]),
+    # _quotient: a remainder no longer raises
+    (QUASIDET,
+     "    if rw or rx or ry or rz:\n",
+     "    if False:\n",
+     [TEST_QUASIDET + "test_unknown_division_is_checked"]),
+    # _integral_product: the short path drops a sign
+    (QUASIDET,
+     "        return s * w, s * x, s * y, s * z",
+     "        return s * w, s * x, s * y, -s * z",
+     [TEST_ORACLE + "test_integer_back_substitution_matches_rational"]),
+    # _factor: the prefix Study determinant's division is no longer checked
+    (QUASIDET,
+     "        if rest:\n"
+     '            raise SingularMatrixError("internal: a prefix Study determinant is not integral")',
+     "        if False:\n"
+     '            raise SingularMatrixError("internal: a prefix Study determinant is not integral")',
+     [TEST_QUASIDET + "test_prefix_determinant_division_is_checked"]),
+    # _factor: two numerators of P_t exchanged
+    (QUASIDET,
+     "        inverses.append((c * w, c * x, c * y, c * z))",
+     "        inverses.append((c * w, c * x, c * z, c * y))",
+     [TEST_QUASIDET + "test_uncorrupted_factor_solves"]),
+    # _back_substitute: one sign in the narrow sum
+    (QUASIDET,
+     "                sz += a * h + b * g - c * f + d * e",
+     "                sz += a * h + b * g + c * f + d * e",
+     [TEST_ORACLE + "test_integer_back_substitution_matches_rational"]),
+    # _back_substitute: the wide sum subtracts one component
+    (QUASIDET,
+     "                sy += py\n",
+     "                sy -= py\n",
+     [TEST_ORACLE + "test_back_substitution_above_oracle_sizes_on_big_entries"]),
+    # _back_substitute: the last unknown's shortcut loses its row scale
+    (QUASIDET,
+     'inverses[j], r, "a back-substituted unknown")\n'
+     "            y[j] = _build(r * yw, r * yx, r * yy, r * yz, den)",
+     'inverses[j], r, "a back-substituted unknown")\n'
+     "            y[j] = _build(yw, r * yx, r * yy, r * yz, den)",
+     [TEST_ORACLE + "test_back_substitution_above_oracle_sizes"]),
+    # rc_quasideterminant: the value's sign
+    (QUASIDET,
+     "    return target[-1]\n",
+     "    return -target[-1]\n",
+     [TEST_ORACLE + "test_kernel_matches_oracle[2]"]),
+    # _kernel_column: each pivot entry's sign
+    (QUASIDET,
+     "            c[pivot] = -_dot(*zip(*terms))",
+     "            c[pivot] = _dot(*zip(*terms))",
+     [TEST_ORACLE + "test_inverse_via_quasidet_matches_per_position_oracle[3]"]),
+    # rc_inverse_via_quasidet: an entry's factors exchanged
+    (QUASIDET,
+     "            cells[r][p] = c[r] * s_inverse",
+     "            cells[r][p] = s_inverse * c[r]",
+     [TEST_ORACLE + "test_inverse_via_quasidet_matches_per_position_oracle[3]"]),
+    # parse_quaternion: the signs of the terms reversed
+    (QUATERNION,
+     '(-num if sign == "-" else num)',
+     '(-num if sign == "+" else num)',
+     [TEST_QUATERNION + "test_parse_examples"]),
+    # _lowest_terms: a component's denominator left unreduced
+    (QUATERNION,
+     "    return [(n // (g := gcd(n, den)), den // g) for n in q[:4]]",
+     "    return [(n // (g := gcd(n, den)), den) for n in q[:4]]",
+     [TEST_QUATERNION + "test_canonical_printing", TEST_QUATERNION + "test_parse_print_roundtrip"]),
+    # _obeys_product_law: the composition taken in the other order
+    (REPRESENTATIONS,
+     "            if action[row[g]] != tuple([phi_a[m] for m in phi_g]):",
+     "            if action[row[g]] != tuple([phi_g[m] for m in phi_a]):",
+     ["tests/test_representation_oracle.py::test_generator_check_of_a_representation_matches_all_pairs"]),
+    # solve_general: the particular solution is no longer checked
+    (RANK,
+     "    if rc_product(particular, a) != b:\n",
+     "    if False:\n",
+     ["tests/test_cli.py::test_particular_solution_self_check_failure_is_internal"]),
+]
+
+# Runs pytest in the child, then exits 99 unless skewlin came from the copy
+# named by the first argument.
+RUNNER = """
+import sys
+import pytest
+status = pytest.main(sys.argv[2:])
+module = sys.modules.get("skewlin")
+if module is None or not module.__file__.startswith(sys.argv[1]):
+    print(f"skewlin imported from {module and module.__file__}, not {sys.argv[1]}")
+    sys.exit(99)
+sys.exit(status)
+"""
+PYTEST_TESTS_FAILED = 1
+
+
+def run_tests(file, old, new, tests):
+    """Run ``tests`` on a copy of the tree with ``old`` replaced by ``new``
+    in ``file``; returns the child's exit status and output."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp).resolve()
+        for tree in ("src", "tests"):
+            shutil.copytree(ROOT / tree, copy / tree,
+                            ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        if file is not None:
+            target = copy / file
+            target.write_text(target.read_text().replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        child = subprocess.run(
+            [sys.executable, "-c", RUNNER, str(copy / "src"),
+             "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=copy, env=env, capture_output=True, text=True,
+        )
+        return child.returncode, child.stdout + child.stderr
+
+
+def main():
+    failures = []
+    for number, (file, old, _, _) in enumerate(MUTANTS, 1):
+        count = (ROOT / file).read_text().count(old)
+        if count != 1:
+            failures.append(f"mutant {number}: old text occurs {count} times in {file}")
+    if failures:
+        print("\n".join(failures))
+        return 1
+
+    every_test = sorted({test for *_, tests in MUTANTS for test in tests})
+    status, output = run_tests(None, None, None, every_test)
+    if status != 0:
+        print(f"the unmutated tree fails its tests (exit {status}):\n{output}")
+        return 1
+
+    for number, (file, old, new, tests) in enumerate(MUTANTS, 1):
+        start = time.perf_counter()
+        status, output = run_tests(file, old, new, tests)
+        changed = next(n for o, n in zip(old.splitlines(), new.splitlines()) if o != n)
+        label = f"mutant {number} in {file}: {changed.strip()}"
+        seconds = time.perf_counter() - start
+        if status == PYTEST_TESTS_FAILED:
+            print(f"killed    {label} ({seconds:.1f} s)")
+            continue
+        verdict = "survived" if status == 0 else f"error {status}"
+        print(f"{verdict:<9} {label} ({seconds:.1f} s)\n{output}")
+        failures.append(label)
+    if failures:
+        print(f"{len(failures)} of {len(MUTANTS)} mutants not killed")
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import skewlin.quasidet
+import skewlin.rank
 from skewlin import (
     Matrix,
+    Quaternion,
     SingularMatrixError,
     check_morphism,
     cr_product,
@@ -23,6 +25,7 @@ from skewlin import (
     representation_from_json,
     representation_to_json,
     rotation_representation,
+    solve_general,
 )
 from skewlin.cli import run
 
@@ -104,6 +107,24 @@ def test_kernel_self_check_failure_is_not_reported_as_singular(monkeypatch):
     status, out, err = invoke(["inv", "[1, i, 0; j, 2, k; 1/2, 1, 3]"])
     assert (status, out) == (1, "")
     assert err == "error: internal: a back-substituted unknown is not integral\n"
+
+
+def test_particular_solution_self_check_failure_is_internal(monkeypatch):
+    solve_row = skewlin.rank._solve_row
+
+    def wrong_solve_row(entries, factor):
+        x = solve_row(entries, factor)
+        return [x[0] + Quaternion.one()] + x[1:]
+
+    monkeypatch.setattr(skewlin.rank, "_solve_row", wrong_solve_row)
+    # consistent: x = [1, 0] solves it, as test_solve_consistent shows
+    a, b = parse_matrix(EXAMPLE_TEXT), parse_matrix("[k, -i]")
+    with pytest.raises(SingularMatrixError) as excinfo:
+        solve_general(a, b)
+    assert str(excinfo.value) == "internal: particular solution fails x * a == b"
+    status, out, err = invoke(["solve", EXAMPLE_TEXT, "--rhs", "[k, -i]"])
+    assert (status, out) == (1, "")
+    assert err == "error: internal: particular solution fails x * a == b\n"
 
 
 def test_inv_text_output_roundtrips():

@@ -130,6 +130,9 @@ def test_empty_matrix_products():
     # inner dimension zero contracts to a zero-filled matrix
     collapsed = rc_product(Matrix.zeros(2, 0), Matrix.zeros(0, 3))
     assert collapsed == Matrix.zeros(2, 3)
+    # no columns on the right keeps the left factor's rows, each empty
+    narrow = rc_product(Matrix.identity(2), Matrix.zeros(2, 0))
+    assert narrow == Matrix.zeros(2, 0)
 
 
 def test_minor_and_indexing(example_matrix):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from skewlin import (
@@ -8,6 +10,7 @@ from skewlin import (
     InvalidRowError,
     Matrix,
     Quaternion,
+    RankReport,
     SingularMatrixError,
     cr_rank,
     cr_singular_family,
@@ -76,13 +79,13 @@ def test_row_dependence_duplicate_rows():
     assert coeff == Matrix.row([Quaternion(1)])
 
 
-def test_row_dependence_sum_of_rows(rng):
-    r1 = random_row(rng, 2, bound=3)
-    r2 = random_row(rng, 2, bound=3)
+def test_row_dependence_sum_of_rows():
+    # two fixed left-independent rows: row 3 is their sum
+    r1 = Matrix.row([Quaternion(1, 2), Quaternion(0, 0, 1, -1)])
+    r2 = Matrix.row([Quaternion(0, 0, 3), Quaternion(Fraction(1, 2), 1)])
     a = Matrix([r1.cells[0], r2.cells[0], (r1 + r2).cells[0]])
     report = rc_rank(a)
-    if report.rank != 2 or report.minor.rows != (1, 2):
-        pytest.skip("degenerate random sample")
+    assert report == RankReport(2, IndexSelection((1, 2), (1, 2)))
     coeff = row_dependence(a, report, 3)
     assert coeff == Matrix.row([Quaternion(1), Quaternion(1)])
 
