@@ -12,13 +12,28 @@ multipliers and pivots of Gauss (LDU) elimination, which over a skew field
 are quasideterminants (Gelfand, Gelfand, Retakh and Wilson,
 *Quasideterminants*).
 
+The pass works on one integer row form.  :func:`_numerators` writes a row as
+the integer numerators of its entries over one denominator, the lcm of
+theirs, which is also the row's scale ``r`` that the solve below needs.
+:func:`_reduce` updates the whole row against an echelon row ``T / d_E`` at
+once, ``X * d_E - L * T`` on the integers with ``L`` the lead's numerators.
+It then divides the row by the previous step's ``d_E``, which Sylvester's
+identity makes exact on most rows; the division is never assumed, and where
+a remainder shows the row is divided by the part of that ``d_E`` that
+divides it, one gcd.  An echelon row is stored the same way: with ``P`` the
+numerators of the pivot, ``E = conj(P) * row / N(P)``, in which the row's
+own denominator cancels, divided by its content so that it is primitive.
+That content gcd, one per kept row, and the gcd after a remainder are all
+the gcds the pass takes, where a quaternion per entry would pay a five-way
+gcd for every update.
+
 :func:`_solve_row` finds the left coefficients ``x`` on the kept rows with
 ``x * (kept rows) == b``, for one row ``b``, in two steps: reducing ``b``
 against the echelon rows writes it as ``z * E`` (or leaves a nonzero
 remainder, when ``b`` is outside the row span), and back substitution solves
-``x * L == z``.  It runs over the integers.  Scaled by the lcm ``r_t`` of
-its denominators on the pivot columns, kept row ``t`` is integral there, and
-the prefix Study determinants of the scaled rows,
+``x * L == z``.  It runs over the integers.  Scaled by its scale ``r_t``,
+kept row ``t`` is integral, and the prefix Study determinants of the scaled
+rows on the pivot columns,
 
     D_0 = 1,   D_{t+1} = D_t * r_t^2 * N(pi_t) = D_t * N(r_t * pi_t),
 
@@ -69,27 +84,47 @@ place of the ``n^2`` eliminations and ``O(n^5)`` work of one
 :func:`rc_quasideterminant` call per position.
 """
 
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, SingularMatrixError
 from .matrix import Matrix, rc_product
-from .quaternion import _WIDE, Quaternion, _build, _dot, _product, _sub_mul
+from .quaternion import _WIDE, Quaternion, _build, _dot, _product
+
+_NIL = (0, 0, 0, 0)  # the numerators of a zero entry
 
 
-def _eliminate_rows(a):
-    """One forward elimination pass over the rows of ``a``, in order, with
-    left row operations, stopping once every column holds a pivot.
+def _numerators(entries):
+    """The quaternions ``entries`` as one row of integer numerators: the
+    list of their ``(w, x, y, z)`` numerators over the lcm of their
+    denominators, and that lcm."""
+    den = lcm(*[e[4] for e in entries])
+    return [
+        (w, x, y, z) if d == den else (w * (s := den // d), x * s, y * s, z * s)
+        for w, x, y, z, d in entries
+    ], den
+
+
+def _eliminate_rows(matrix):
+    """One forward elimination pass over the rows of ``matrix``, in order,
+    with left row operations, stopping once every column holds a pivot.
 
     Returns ``(kept, echelon, scales, leads)``.  ``kept`` lists the 0-based
     rows that stayed independent of the rows before them; a kept row's
     position in ``kept`` is its kept index.  ``echelon`` holds one
-    ``(pivot, tail, t)`` per kept row, sorted by pivot column: the row of
-    kept index ``t`` reduced against the earlier kept rows and scaled to a
-    one at its pivot, stored as the ``(column, entry)`` pairs of its nonzero
-    entries right of the pivot.  ``scales[t]`` is the inverse of that
-    pivot's value ``pi_t`` before scaling, and ``leads[p]`` lists the
-    multipliers ``(t, lambda)`` the reduction of row ``p`` applied, one per
-    echelon row it met with a nonzero lead.  Row ``p`` is therefore
+    ``(pivot, tail, t, den)`` per kept row, sorted by pivot column: the row
+    ``E_t`` of kept index ``t`` reduced against the earlier kept rows and
+    scaled to a one at its pivot.  It is stored as integer numerators over
+    ``den``, and ``tail`` holds one ``(column, w, x, y, z)`` for every
+    column right of the pivot.  With ``P`` the numerators of the reduced
+    row's pivot ``pi_t``, ``E_t = conj(P) * row / N(P)``: the row's own
+    denominator cancels, and dividing by the content (the gcd of ``N(P)``
+    and every numerator) leaves the stored row primitive.  ``scales[t]`` is
+    ``pi_t^-1``.  ``leads[p]`` is the pair of the multipliers ``(t,
+    lambda)`` the reduction of row ``p`` applied, one per echelon row it met
+    with a nonzero lead, and the row's scale, the lcm of its denominators.
+    Each ``lambda`` is the tuple ``(w, x, y, z, d)`` of its numerators over
+    ``d``, not necessarily in lowest terms.  Row ``p`` is therefore
     ``sum(lambda * E_t) + pi * E_p`` (no last term when it was not kept):
     the kept rows are ``L * E`` with ``L`` lower triangular in kept order.
     ``leads`` covers only the rows the pass reached; every later row is
@@ -97,44 +132,109 @@ def _eliminate_rows(a):
     multipliers.
     """
     kept, echelon, scales, leads = [], [], [], []
-    for p, cells in enumerate(a.cells):
-        if len(echelon) == a.cols:
+    cols = matrix.cols
+    for p, cells in enumerate(matrix.cells):
+        if len(echelon) == cols:
             break
-        entries = list(cells)
-        leads.append(_reduce(entries, echelon))
-        pivot = next((j for j, e in enumerate(entries) if not e.is_zero()), None)
-        if pivot is None:
+        row, scale = _numerators(cells)
+        multipliers, row, den = _reduce(row, scale, echelon)
+        leads.append((multipliers, scale))
+        for pivot, (a, b, c, d) in enumerate(row):
+            if a or b or c or d:
+                break
+        else:
             continue
-        scale = entries[pivot].inverse()
-        tail = [
-            (j, scale * e)
-            for j, e in enumerate(entries[pivot + 1:], pivot + 1)
-            if not e.is_zero()
-        ]
-        echelon.append((pivot, tail, len(kept)))
+        norm = a * a + b * b + c * c + d * d
+        wide = norm > _WIDE
+        tail = []
+        content = norm
+        for j in range(pivot + 1, cols):
+            e, f, g, h = row[j]
+            if wide:
+                w, x, y, z = _product(a, -b, -c, -d, e, f, g, h)
+            else:
+                w = a * e + b * f + c * g + d * h
+                x = a * f - b * e - c * h + d * g
+                y = a * g + b * h - c * e - d * f
+                z = a * h - b * g + c * f - d * e
+            tail.append((j, w, x, y, z))
+            content = gcd(content, w, x, y, z)
+        if content > 1:
+            tail = [(j, w // content, x // content, y // content, z // content)
+                    for j, w, x, y, z in tail]
+        echelon.append((pivot, tail, len(kept), norm // content))
         echelon.sort(key=lambda row: row[0])
         kept.append(p)
-        scales.append(scale)
+        scales.append(_build(den * a, -den * b, -den * c, -den * d, norm))
     return kept, echelon, scales, leads
 
 
-def _reduce(entries, echelon):
-    """Subtract left multiples of the echelon rows from ``entries`` (changed
-    in place) until it is zero on every pivot column, and return the
-    multipliers as ``(t, lead)`` pairs, skipping zero leads.  Going by
-    increasing pivot never disturbs a column already cleared, since each
-    echelon row is zero left of its pivot."""
-    zero = Quaternion.zero()
+def _reduce(row, den, echelon):
+    """Subtract left multiples of the echelon rows from the row of integer
+    numerators ``row`` over ``den`` (changed in place) until it is zero on
+    every pivot column.  Returns the multipliers as ``(t, lead)`` pairs,
+    skipping zero leads, each lead the numerators of the row's entry over
+    the row's denominator at that step; the remainder, ``row`` itself; and
+    the remainder's denominator.  Going by increasing pivot never disturbs a
+    column already cleared, since each echelon row is zero left of its
+    pivot.
+
+    Against an echelon row ``T / d_E`` and with the lead's numerators
+    ``L``, a step is ``X * d_E - L * T`` on the integers, over ``den *
+    d_E``.  By Sylvester's identity, as in Bareiss's fraction-free
+    elimination, the denominator of the previous step's echelon row usually
+    divides every numerator after this one: the row is then divided by it
+    once, the quotients checked by their remainders.  Where a remainder
+    shows, the row is divided instead by the gcd of that denominator and its
+    numerators."""
     leads = []
-    for pivot, tail, t in echelon:
-        lead = entries[pivot]
-        if lead.is_zero():
+    previous = 1
+    for pivot, tail, t, scale in echelon:
+        a, b, c, d = row[pivot]
+        if not (a or b or c or d):
             continue
-        entries[pivot] = zero
-        for j, e in tail:
-            entries[j] = _sub_mul(entries[j], lead, e)
-        leads.append((t, lead))
-    return leads
+        leads.append((t, (a, b, c, d, den)))
+        row[pivot] = _NIL
+        den *= scale
+        wide = den > _WIDE
+        # left of the pivot, only columns without a pivot can be nonzero
+        for j in range(pivot):
+            w, x, y, z = row[j]
+            if w or x or y or z:
+                row[j] = (w * scale, x * scale, y * scale, z * scale)
+        for j, e, f, g, h in tail:
+            w, x, y, z = row[j]
+            if wide:
+                pw, px, py, pz = _product(a, b, c, d, e, f, g, h)
+            else:
+                pw = a * e - b * f - c * g - d * h
+                px = a * f + b * e + c * h - d * g
+                py = a * g - b * h + c * e + d * f
+                pz = a * h + b * g - c * f + d * e
+            row[j] = (w * scale - pw, x * scale - px, y * scale - py, z * scale - pz)
+        if previous > 1:
+            quotients = []
+            for w, x, y, z in row:
+                if not (w or x or y or z):
+                    quotients.append(_NIL)
+                    continue
+                qw, rw = divmod(w, previous)
+                qx, rx = divmod(x, previous)
+                qy, ry = divmod(y, previous)
+                qz, rz = divmod(z, previous)
+                if rw or rx or ry or rz:
+                    common = gcd(previous, *chain.from_iterable(row))
+                    if common > 1:
+                        row[:] = [(w // common, x // common, y // common, z // common)
+                                  for w, x, y, z in row]
+                        den //= common
+                    break
+                quotients.append((qw, qx, qy, qz))
+            else:
+                row[:] = quotients
+                den //= previous
+        previous = scale
+    return leads, row, den
 
 
 def _quotient(nw, nx, ny, nz, den, what):
@@ -152,7 +252,8 @@ def _quotient(nw, nx, ny, nz, den, what):
 
 def _integral_product(scale, q, p, divisor, what):
     """The four integers ``scale * q * p / divisor``, for integers ``scale``
-    and ``divisor``, a quaternion ``q`` and the numerators ``p`` of an
+    and ``divisor``, a quaternion ``q`` given as its numerators over a
+    denominator, in lowest terms or not, and the numerators ``p`` of an
     integral quaternion.  When the denominator of ``q`` times ``divisor``
     divides ``scale`` the product is integral as it stands; otherwise each
     numerator is divided by :func:`_quotient`."""
@@ -172,21 +273,16 @@ def _integral_product(scale, q, p, divisor, what):
     return _quotient(scale * w, scale * x, scale * y, scale * z, den, what)
 
 
-def _denominator(entries, columns):
-    """The lcm of the denominators of ``entries`` on ``columns``: the least
-    positive integer that makes them integral there."""
-    return lcm(*[entries[c][4] for c in columns])
-
-
-def _factor(a, kept, echelon, scales, leads):
-    """The integral factors ``(echelon, columns, row_scales, dets, inverses,
-    below)`` of the kept rows of ``a`` that :func:`_back_substitute` solves
+def _factor(kept, echelon, scales, leads):
+    """The integral factors ``(echelon, row_scales, dets, inverses, below)``
+    of the kept rows of one elimination that :func:`_back_substitute` solves
     with.
 
-    ``columns`` lists the pivot columns.  ``row_scales[t]`` is ``r_t``, the
-    lcm of the denominators of kept row ``t`` on them, so the rows ``r_t *
-    (kept row t)`` are integral there; they factor as ``(R L) E`` with the
-    pivots ``r_t pi_t`` and the multipliers ``r_k lambda_kt``.
+    ``row_scales[t]`` is ``r_t``, the scale :func:`_eliminate_rows` recorded
+    for kept row ``t``, the lcm of its denominators, so the rows ``r_t *
+    (kept row t)`` are integral; on the pivot columns they factor as ``(R
+    L) E`` with the pivots ``r_t pi_t`` and the multipliers ``r_k
+    lambda_kt``.
     ``dets[t]`` is ``D_{t+1}``, the Study determinant of the first ``t + 1``
     of them on the pivot columns:
 
@@ -207,14 +303,12 @@ def _factor(a, kept, echelon, scales, leads):
     the right by the diagonal entry and scaled to an integral quaternion
     once here rather than once per solve.  Every division is exact, and
     checked."""
-    cells = a.cells
-    columns = [pivot for pivot, _, _ in echelon]
     det = 1
     row_scales, dets, inverses, below = [], [], [], []
     for k, (p, (w, x, y, z, e)) in enumerate(zip(kept, scales)):
-        r = _denominator(cells[p], columns)
+        multipliers, r = leads[p]
         # row k met only the echelon rows kept before it
-        for j, lead in leads[p]:
+        for j, lead in multipliers:
             below[j].append((k, _integral_product(-r, lead, inverses[j], 1, "a scaled multiplier")))
         c, rest = divmod(det * r * r * e, w * w + x * x + y * y + z * z)
         if rest:
@@ -224,21 +318,22 @@ def _factor(a, kept, echelon, scales, leads):
         dets.append(det)
         inverses.append((c * w, c * x, c * y, c * z))
         below.append([])
-    return echelon, columns, row_scales, dets, inverses, below
+    return echelon, row_scales, dets, inverses, below
 
 
-def _back_substitute(z, entries, factor):
+def _back_substitute(z, scale, factor):
     """The row ``y`` (a list in kept order) with ``y * L == z``, for ``z``
     given as ``(t, value)`` pairs of its nonzero entries: the coordinates on
-    the echelon rows of the row ``entries``.  ``L`` is lower triangular, so
+    the echelon rows, as :func:`_reduce` returns them, of a row whose scale
+    (the lcm of its denominators) is ``scale``.  ``L`` is lower triangular, so
     going backwards each unknown is
 
         y_j = z_j * pi_j^-1 - sum over k > j of y_k * mu_kj.
 
     This runs on the integral factors of :func:`_factor`.  With ``d`` the
-    lcm of the denominators of ``entries`` on the pivot columns and ``D =
-    D_n``, the right-hand side enters as the integral ``W_j = d * z_j *
-    P_j`` and the unknowns as the integers ``Y_j = D * d * y_j / r_j``:
+    row's scale and ``D = D_n``, the right-hand side enters as the integral
+    ``W_j = d * z_j * P_j`` and the unknowns as the integers ``Y_j = D * d *
+    y_j / r_j``:
 
         Y_j = (D * W_j + sum over k > j of Y_k * M_kj) / (r_j * D_{j+1}),
 
@@ -248,11 +343,10 @@ def _back_substitute(z, entries, factor):
     is normalised with one gcd; the first unknown's sum, which no other
     unknown needs, goes to that gcd undivided, over ``D_1 * D * d``.  Every
     division is exact and checked."""
-    _, columns, row_scales, dets, inverses, below = factor
+    _, row_scales, dets, inverses, below = factor
     last = len(row_scales) - 1
     if last < 0:
         return []
-    scale = _denominator(entries, columns)
     top = dets[last]
     den = top * scale
     wide = den > _WIDE  # the width of the integers Y_k = D_n * d * y_k / r_k
@@ -306,11 +400,11 @@ def _solve_row(entries, factor):
     ``y * (kept rows) == entries``; None when ``entries`` is outside their
     left row span.  Reducing ``entries`` against the echelon rows ``E``
     writes it as ``z * E``, and ``y`` solves ``y * L == z``."""
-    rest = list(entries)
-    z = _reduce(rest, factor[0])
-    if not all(e.is_zero() for e in rest):
+    row, scale = _numerators(entries)
+    z, rest, _ = _reduce(row, scale, factor[0])
+    if any(map(any, rest)):
         return None
-    return _back_substitute(z, entries, factor)
+    return _back_substitute(z, scale, factor)
 
 
 def solve_nonsingular(a, b):
@@ -324,7 +418,7 @@ def solve_nonsingular(a, b):
     kept, echelon, scales, leads = _eliminate_rows(a)
     if len(kept) < a.rows:
         raise SingularMatrixError(f"matrix {a} is singular")
-    factor = _factor(a, kept, echelon, scales, leads)
+    factor = _factor(kept, echelon, scales, leads)
     if b.cols != a.rows:
         raise DimensionMismatch(f"rc product needs {b.shape} x {a.shape} inner match")
     return Matrix([_solve_row(row, factor) for row in b.cells], cols=a.rows)
@@ -363,12 +457,12 @@ def rc_quasideterminant(a, p, r):
     n = a.rows
     # column r moved last: the complement fills the first n - 1 columns
     cells = [row[:r - 1] + row[r:] + (row[r - 1],) for row in a.cells]
-    target = list(cells.pop(p - 1))
+    target = cells.pop(p - 1)
     _, echelon, _, _ = _eliminate_rows(Matrix(cells, cols=n))
-    if [pivot for pivot, _, _ in echelon] != list(range(n - 1)):
+    if [pivot for pivot, *_ in echelon] != list(range(n - 1)):
         return None
-    _reduce(target, echelon)
-    return target[-1]
+    _, rest, den = _reduce(*_numerators(target), echelon)
+    return _build(*rest[-1], den)
 
 
 def cr_quasideterminant(a, i, j):
@@ -385,16 +479,17 @@ def _kernel_column(complement):
 
         c_q = -(sum over j > q of E_qj * c_j)
 
-    normalised once by :func:`_dot`."""
+    normalised once by :func:`_dot`, which takes each ``E_qj`` as its
+    numerators over the echelon row's denominator."""
     n = complement.cols
     _, echelon, _, _ = _eliminate_rows(complement)
     if len(echelon) < n - 1:
         return None
-    pivots = {pivot for pivot, _, _ in echelon}
+    pivots = {pivot for pivot, *_ in echelon}
     c = [Quaternion.zero()] * n
     c[next(j for j in range(n) if j not in pivots)] = Quaternion.one()
-    for pivot, tail, _ in reversed(echelon):
-        terms = [(e, c[j]) for j, e in tail if not c[j].is_zero()]
+    for pivot, tail, _, den in reversed(echelon):
+        terms = [((w, x, y, z, den), c[j]) for j, w, x, y, z in tail if not c[j].is_zero()]
         if terms:
             c[pivot] = -_dot(*zip(*terms))
     return c

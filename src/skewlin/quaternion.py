@@ -18,26 +18,25 @@ nonzero value has a two-sided ``inverse()`` (zero raises
 
 A value is the tuple of its four integer numerators over one shared positive
 denominator, kept coprime, so every result is normalized by a 5-way gcd.  The
-elimination kernel and the matrix products normalize once per result, not
-once per operation: :func:`_sub_mul` forms the update ``x - l*y`` and
-:func:`_dot` a sum of products on raw integer numerators before a single
-gcd.  Since the gcd's cost grows with the size of its arguments, both put
-their numerators over the smallest denominator they can find cheaply:
-:func:`_dot` over the lcm of its term denominators, and :func:`_sub_mul`
-over the denominator of ``l*y`` whenever that of ``x`` divides it, or over
-the denominator of ``y`` alone when ``x`` and ``l`` share a denominator that
-divides out exactly.  The tuple layout is private: the components are
-exposed as :class:`fractions.Fraction` values.
+matrix products normalize once per entry, not once per operation:
+:func:`_dot` forms a sum of products on raw integer numerators over the lcm
+of its term denominators before a single gcd.  The elimination kernel in
+``quasidet`` goes further: it keeps each row as integer numerators over one
+denominator and takes one content gcd per echelon row it keeps.  The tuple
+layout is private: the components are exposed as :class:`fractions.Fraction`
+values.
 
 A product's four numerators have two forms: the Hamilton formula's sixteen
 multiplications, written out inline, and the eight of :func:`_product`
 (Howell and Lafon), which pays for them in additions and wins only on wide
-numerators.  The forward pass and the integer solve pick the form by comparing
-a denominator they already hold with the one constant ``_WIDE``: the
-product's own in ``__mul__``, :func:`_sub_mul` and
-``quasidet._integral_product``, and the solution's common denominator
-``D_n * d``, once per solve, in ``quasidet._back_substitute``.  :func:`_dot`
-always takes the sixteen: no workload meets a wide dot product.
+numerators.  The elimination kernel and the integer solve pick the form by
+comparing a denominator they already hold with the one constant ``_WIDE``:
+the product's own in ``__mul__`` and ``quasidet._integral_product``, the
+reduced row's in ``quasidet._reduce`` once per step, and the pivot's norm
+once per echelon row in ``quasidet._eliminate_rows``, and the solution's
+common denominator ``D_n * d``, once per solve, in
+``quasidet._back_substitute``.  :func:`_dot` always takes the sixteen: no
+workload meets a wide dot product.
 
 Text and JSON read and write the tuple directly.  The parser matches one
 compiled pattern per signed term (``_TERM``), tells every malformed input
@@ -238,15 +237,17 @@ class Quaternion(tuple):
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
 
 
-# In __mul__, _sub_mul and the integer solve, a product whose denominator
-# exceeds _WIDE takes the eight multiplications of _product; any other, and
-# every term of _dot, the sixteen written out inline.  _product trades
-# multiplications for additions, so it wins only on wide numerators: on
+# In __mul__, the elimination kernel and the integer solve, a product whose
+# denominator exceeds _WIDE takes the eight multiplications of _product; any
+# other, and every term of _dot, the sixteen written out inline.  _product
+# trades multiplications for additions, so it wins only on wide numerators: on
 # CPython 3.11 (x86-64) it takes 1.31 times the inline form's time on 30-bit
 # numerators, 0.95 at 128 bits, 0.77 at 256, 0.57 at 1,000 and about 0.5 from
 # 2,000 bits up.  A product's denominator is about as wide as its two
 # factors' numerators together, so the switch falls near 128-bit factors.
-# The callers compare a denominator they already hold, never a bit length.
+# The callers compare a number they already hold (a denominator, or the
+# pivot's norm, which is the echelon row's denominator before its content is
+# divided out), never a bit length.
 _WIDE = 1 << 256
 
 
@@ -275,54 +276,6 @@ def _build(nw, nx, ny, nz, den):
     if g > 1:
         return _new(Quaternion, (nw // g, nx // g, ny // g, nz // g, den // g))
     return _new(Quaternion, (nw, nx, ny, nz, den))
-
-
-def _sub_mul(x, l, y):
-    """``x - l * y``, normalized once instead of once for the product and
-    once for the difference.
-
-    The product ``l * y`` has the denominator ``dl * dy``; the difference is
-    put over the smallest denominator at hand before the gcd:
-
-    * ``dx == dl`` (the lead is an entry of ``x``'s own row): over
-      ``dl * dy``, then over ``dy`` when ``dl`` divides all four
-      numerators.  By Sylvester's identity, as in Bareiss's fraction-free
-      elimination, the previous pivot's denominator usually cancels here,
-      and one exact division by ``dl`` is cheaper than leaving those bits
-      to the gcd; the ``divmod`` chain stops at the first remainder.
-    * ``dx`` divides ``dl * dy``: over ``dl * dy``, with ``x`` scaled by the
-      exact quotient.
-    * otherwise over ``dx * dl * dy``.
-    """
-    a, b, c, d, dl = l
-    e, f, g, h, dy = y
-    den = dl * dy
-    if den > _WIDE:
-        pw, px, py, pz = _product(a, b, c, d, e, f, g, h)
-    else:
-        pw = a * e - b * f - c * g - d * h
-        px = a * f + b * e + c * h - d * g
-        py = a * g - b * h + c * e + d * f
-        pz = a * h + b * g - c * f + d * e
-    xw, xx, xy, xz, dx = x
-    if dx == dl:
-        nw, nx, ny, nz = xw * dy - pw, xx * dy - px, xy * dy - py, xz * dy - pz
-        if dl > 1:
-            qw, r = divmod(nw, dl)
-            if not r:
-                qx, r = divmod(nx, dl)
-                if not r:
-                    qy, r = divmod(ny, dl)
-                    if not r:
-                        qz, r = divmod(nz, dl)
-                        if not r:
-                            return _build(qw, qx, qy, qz, dy)
-        return _build(nw, nx, ny, nz, den)
-    scale, r = divmod(den, dx)
-    if not r:
-        return _build(xw * scale - pw, xx * scale - px, xy * scale - py, xz * scale - pz, den)
-    return _build(xw * den - pw * dx, xx * den - px * dx, xy * den - py * dx,
-                  xz * den - pz * dx, den * dx)
 
 
 def _dot(left, right):

@@ -45,6 +45,7 @@ from .quasidet import (
     _back_substitute,
     _eliminate_rows,
     _factor,
+    _numerators,
     _reduce,
     _solve_row,
     solve_nonsingular,
@@ -86,7 +87,7 @@ def rc_rank(a):
     if not kept:
         return RankReport(0, None)
     rows = tuple(p + 1 for p in kept)
-    cols = tuple(pivot + 1 for pivot, _, _ in echelon)
+    cols = tuple(pivot + 1 for pivot, *_ in echelon)
     return RankReport(len(kept), IndexSelection(rows, cols))
 
 
@@ -152,8 +153,10 @@ def solve_general(a, b):
     # the pass stops at a full set of pivots; every row after that point is
     # dependent, and reducing it against the final echelon rows gives its
     # multipliers
-    leads += [_reduce(list(row), echelon) for row in a.cells[len(leads):]]
-    factor = _factor(a, kept, echelon, scales, leads)
+    for row in a.cells[len(leads):]:
+        numerators, scale = _numerators(row)
+        leads.append((_reduce(numerators, scale, echelon)[0], scale))
+    factor = _factor(kept, echelon, scales, leads)
     independent = set(kept)
     dependent = [p for p in range(a.rows) if p not in independent]
     free = tuple(p + 1 for p in dependent)
@@ -162,7 +165,7 @@ def solve_general(a, b):
     one = Quaternion.one()
     basis = tuple(
         _on_rows(kept + [p],
-                 [-c for c in _back_substitute(leads[p], a.cells[p], factor)] + [one], a)
+                 [-c for c in _back_substitute(*leads[p], factor)] + [one], a)
         for p in dependent
     )
     x = _solve_row(b.cells[0], factor)

@@ -37,6 +37,7 @@ TEST_QUATERNION = "tests/test_quaternion.py::"
 TEST_MATRIX = "tests/test_matrix.py::"
 TEST_ORACLE = "tests/test_elimination_oracle.py::"
 TEST_QUASIDET = "tests/test_quasidet.py::"
+TEST_CHI = "tests/test_chi_oracle.py::"
 
 MUTANTS = [
     # _product: one sign in the w numerator
@@ -54,16 +55,6 @@ MUTANTS = [
      "            return _build(*_product(a, b, c, d, e, f, g, h), den)",
      "            return _build(*_product(e, f, g, h, a, b, c, d), den)",
      [TEST_QUATERNION + "test_wide_products_match_fraction_oracle"]),
-    # _sub_mul: the exact division by dl left over dl instead of dy
-    (QUATERNION,
-     "                            return _build(qw, qx, qy, qz, dy)",
-     "                            return _build(qw, qx, qy, qz, dl)",
-     [TEST_ORACLE + "test_kernel_matches_oracle_on_big_entries"]),
-    # _sub_mul: x scaled by the wrong cofactor when dx divides dl * dy
-    (QUATERNION,
-     "        return _build(xw * scale - pw, xx * scale - px,",
-     "        return _build(xw * dx - pw, xx * scale - px,",
-     [TEST_QUATERNION + "test_sub_mul_is_difference_of_product"]),
     # _dot: the sum's and the term's cofactors swapped
     (QUATERNION,
      "        sw = sw * up + (a * e - b * f - c * g - d * h) * across",
@@ -84,6 +75,56 @@ MUTANTS = [
      "    columns = list(zip(*b.cells)) if b.rows else [()] * b.cols",
      "    columns = list(zip(*b.cells)) if b.rows else [()] * a.rows",
      [TEST_MATRIX + "test_empty_matrix_products"]),
+    # _eliminate_rows: one sign of conj(pi) flipped in the echelon row
+    (QUASIDET,
+     "                x = a * f - b * e - c * h + d * g\n",
+     "                x = a * f + b * e - c * h + d * g\n",
+     [TEST_CHI + "test_kernel_matches_chi_oracle"]),
+    # _eliminate_rows: the echelon sort dropped
+    (QUASIDET,
+     "        echelon.sort(key=lambda row: row[0])",
+     "        echelon.sort(key=lambda row: 0)",
+     [TEST_CHI + "test_kernel_matches_chi_oracle"]),
+    # _eliminate_rows: the content divides the numerators but not N(P)
+    (QUASIDET,
+     "        echelon.append((pivot, tail, len(kept), norm // content))",
+     "        echelon.append((pivot, tail, len(kept), norm))",
+     [TEST_CHI + "test_kernel_matches_chi_oracle"]),
+    # _eliminate_rows: one sign of pi^-1
+    (QUASIDET,
+     "        scales.append(_build(den * a, -den * b,",
+     "        scales.append(_build(den * a, den * b,",
+     [TEST_CHI + "test_kernel_matches_chi_oracle"]),
+    # _reduce: a nonzero lead with a zero component skipped
+    (QUASIDET,
+     "        if not (a or b or c or d):\n            continue",
+     "        if not (a and b and c and d):\n            continue",
+     [TEST_QUASIDET + "test_reduce_matches_per_entry_reduction",
+      TEST_CHI + "test_kernel_matches_chi_oracle"]),
+    # _reduce: the tail product taken on the wrong side, T * L
+    (QUASIDET,
+     "                px = a * f + b * e + c * h - d * g\n"
+     "                py = a * g - b * h + c * e + d * f\n"
+     "                pz = a * h + b * g - c * f + d * e\n",
+     "                px = a * f + b * e - c * h + d * g\n"
+     "                py = a * g + b * h + c * e - d * f\n"
+     "                pz = a * h - b * g + c * f + d * e\n",
+     [TEST_QUASIDET + "test_reduce_matches_per_entry_reduction",
+      TEST_CHI + "test_kernel_matches_chi_oracle"]),
+    # _reduce: the row divided by the previous echelon denominator, its
+    # denominator not
+    (QUASIDET,
+     "                den //= previous\n",
+     "                den //= 1\n",
+     [TEST_QUASIDET + "test_reduce_matches_per_entry_reduction",
+      TEST_CHI + "test_kernel_matches_chi_oracle"]),
+    # _reduce: after a remainder, the row divided by the gcd, its denominator
+    # not
+    (QUASIDET,
+     "                        den //= common\n",
+     "                        den //= 1\n",
+     [TEST_QUASIDET + "test_reduce_matches_per_entry_reduction",
+      TEST_CHI + "test_kernel_matches_chi_oracle"]),
     # _quotient: two quotients exchanged
     (QUASIDET,
      "    return qw, qx, qy, qz\n",
@@ -91,8 +132,8 @@ MUTANTS = [
      [TEST_ORACLE + "test_integer_back_substitution_matches_rational"]),
     # _quotient: a remainder no longer raises
     (QUASIDET,
-     "    if rw or rx or ry or rz:\n",
-     "    if False:\n",
+     "    if rw or rx or ry or rz:\n        raise",
+     "    if False:\n        raise",
      [TEST_QUASIDET + "test_unknown_division_is_checked"]),
     # _integral_product: the short path drops a sign
     (QUASIDET,
@@ -130,8 +171,8 @@ MUTANTS = [
      [TEST_ORACLE + "test_back_substitution_above_oracle_sizes"]),
     # rc_quasideterminant: the value's sign
     (QUASIDET,
-     "    return target[-1]\n",
-     "    return -target[-1]\n",
+     "    return _build(*rest[-1], den)\n",
+     "    return -_build(*rest[-1], den)\n",
      [TEST_ORACLE + "test_kernel_matches_oracle[2]"]),
     # _kernel_column: each pivot entry's sign
     (QUASIDET,
@@ -152,7 +193,7 @@ MUTANTS = [
     (QUATERNION,
      "    return [(n // (g := gcd(n, den)), den // g) for n in q[:4]]",
      "    return [(n // (g := gcd(n, den)), den) for n in q[:4]]",
-     [TEST_QUATERNION + "test_canonical_printing", TEST_QUATERNION + "test_parse_print_roundtrip"]),
+     [TEST_QUATERNION + "test_canonical_printing"]),
     # _obeys_product_law: the composition taken in the other order
     (REPRESENTATIONS,
      "            if action[row[g]] != tuple([phi_a[m] for m in phi_g]):",

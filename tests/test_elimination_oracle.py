@@ -44,7 +44,7 @@ from skewlin import (
     cr_product,
     rc_product,
 )
-from skewlin.quasidet import _eliminate_rows, _reduce
+from skewlin.quasidet import _eliminate_rows, _numerators, _reduce
 from skewlin.quaternion import _dot
 from skewlin.rank import SolutionSet, _on_rows
 from skewlin.sampling import (
@@ -585,18 +585,25 @@ def test_back_substitution_above_oracle_sizes_on_big_entries(n):
 #
 # The library solves ``x * L == z`` over the integers, on the prefix Study
 # determinants of the kept rows.  The rational back substitution it replaced
-# is kept here, verbatim apart from its names, as the slow definition:
-# ``rational_factor`` divides each multiplier by its pivot once (``mu``), and
-# ``rational_back_substitute`` sums each unknown with ``_dot``.  The solvers
+# is kept here as the slow definition, verbatim apart from its names and the
+# shapes of the forward pass's results (``value`` turns a multiplier's
+# numerators into a quaternion): ``rational_factor`` divides each multiplier
+# by its pivot once (``mu``), and ``rational_back_substitute`` sums each
+# unknown with ``_dot``.  The solvers
 # built on it, ``rational_solve_nonsingular`` and ``rational_solve_general``,
 # repeat the library's own on the same forward pass.
+
+
+def value(numerators):
+    w, x, y, z, d = numerators
+    return Quaternion(Fraction(w, d), Fraction(x, d), Fraction(y, d), Fraction(z, d))
 
 
 def rational_factor(kept, echelon, scales, leads):
     below = [[] for _ in kept]
     for k, p in enumerate(kept):
-        for j, lead in leads[p]:
-            below[j].append((k, -(lead * scales[j])))
+        for j, lead in leads[p][0]:
+            below[j].append((k, -(value(lead) * scales[j])))
     return echelon, scales, below
 
 
@@ -608,7 +615,7 @@ def rational_back_substitute(z, factor):
     for j in reversed(range(len(scales))):
         left, right = [], []
         if j in z:
-            left.append(z[j])
+            left.append(value(z[j]))
             right.append(scales[j])
         for k, minus_mu in below[j]:
             if not y[k].is_zero():
@@ -620,9 +627,8 @@ def rational_back_substitute(z, factor):
 
 
 def rational_solve_row(entries, factor):
-    entries = list(entries)
-    z = _reduce(entries, factor[0])
-    if not all(e.is_zero() for e in entries):
+    z, rest, _ = _reduce(*_numerators(entries), factor[0])
+    if not all(e == (0, 0, 0, 0) for e in rest):
         return None
     return rational_back_substitute(z, factor)
 
@@ -661,14 +667,14 @@ def rational_solve_general(a, b):
             f"right-hand side must be 1 x {a.cols}, got {b.shape}"
         )
     kept, echelon, scales, leads = _eliminate_rows(a)
-    leads += [_reduce(list(row), echelon) for row in a.cells[len(leads):]]
+    leads += [(_reduce(*_numerators(row), echelon)[0], None) for row in a.cells[len(leads):]]
     factor = rational_factor(kept, echelon, scales, leads)
     independent = set(kept)
     dependent = [p for p in range(a.rows) if p not in independent]
     free = tuple(p + 1 for p in dependent)
     one = Quaternion.one()
     basis = tuple(
-        _on_rows(kept + [p], [-c for c in rational_back_substitute(leads[p], factor)] + [one], a)
+        _on_rows(kept + [p], [-c for c in rational_back_substitute(leads[p][0], factor)] + [one], a)
         for p in dependent
     )
     x = rational_solve_row(b.cells[0], factor)

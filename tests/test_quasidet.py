@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from skewlin import (
     DimensionMismatch,
@@ -16,12 +17,14 @@ from skewlin import (
     cr_quasideterminant,
     is_rc_nonsingular,
     parse_matrix,
+    parse_quaternion,
     rc_inverse,
     rc_inverse_via_quasidet,
     rc_product,
     rc_quasideterminant,
 )
 from skewlin import quasidet
+from skewlin.quaternion import _WIDE
 from skewlin.sampling import (
     random_nonsingular_matrix,
     random_quaternion,
@@ -245,60 +248,166 @@ def _raises_internal(what, call):
 
 
 def _system(seed, n=3):
-    """A nonsingular matrix with rational entries, its elimination and one
-    row's coordinates on the echelon rows."""
+    """A nonsingular matrix with rational entries, its elimination, one row
+    and that row's coordinates on the echelon rows and scale."""
     rng = random.Random(seed)
     a = random_nonsingular_matrix(rng, n, bound=4)
     kept, echelon, scales, leads = quasidet._eliminate_rows(a)
     entries = random_row(rng, n, bound=4).cells[0]
-    z = quasidet._reduce(list(entries), echelon)
+    row, scale = quasidet._numerators(entries)
+    z, _, _ = quasidet._reduce(row, scale, echelon)
     assert len(z) == n  # every unknown has a right-hand side
-    return a, (kept, echelon, scales, leads), entries, z
+    return a, (kept, echelon, scales, leads), entries, z, scale
+
+
+def _over_prime(value):
+    """The numerators and denominator ``value`` of a quaternion, divided by
+    ``_PRIME``."""
+    w, x, y, z, d = value
+    return w, x, y, z, d * _PRIME
 
 
 def test_uncorrupted_factor_solves():
-    a, elimination, entries, z = _system(1)
-    factor = quasidet._factor(a, *elimination)
-    x = Matrix.row(quasidet._back_substitute(z, entries, factor))
+    a, elimination, entries, z, scale = _system(1)
+    factor = quasidet._factor(*elimination)
+    x = Matrix.row(quasidet._back_substitute(z, scale, factor))
     assert rc_product(x, a) == Matrix.row(entries)
 
 
 def test_prefix_determinant_division_is_checked():
-    a, (kept, echelon, scales, leads), _, _ = _system(2)
+    _, (kept, echelon, scales, leads), _, _, _ = _system(2)
     scales = scales[:1] + [scales[1] * _PRIME] + scales[2:]
     _raises_internal("a prefix Study determinant",
-                     lambda: quasidet._factor(a, kept, echelon, scales, leads))
+                     lambda: quasidet._factor(kept, echelon, scales, leads))
 
 
 def test_multiplier_division_is_checked():
-    a, (kept, echelon, scales, leads), _, _ = _system(3)
+    _, (kept, echelon, scales, leads), _, _, _ = _system(3)
     leads = list(leads)
-    (j, lead), *rest = leads[kept[1]]
-    leads[kept[1]] = [(j, lead * Quaternion(Fraction(1, _PRIME)))] + rest
+    ((j, lead), *rest), scale = leads[kept[1]]
+    leads[kept[1]] = ([(j, _over_prime(lead))] + rest, scale)
     _raises_internal("a scaled multiplier",
-                     lambda: quasidet._factor(a, kept, echelon, scales, leads))
+                     lambda: quasidet._factor(kept, echelon, scales, leads))
 
 
 def test_right_hand_side_division_is_checked():
-    a, elimination, entries, z = _system(4)
-    factor = quasidet._factor(a, *elimination)
+    a, elimination, _, z, scale = _system(4)
+    factor = quasidet._factor(*elimination)
     (j, value), *rest = sorted(z, key=lambda pair: pair[0])
     assert j < a.rows - 1
-    z = [(j, value * Quaternion(Fraction(1, _PRIME)))] + rest
+    z = [(j, _over_prime(value))] + rest
     _raises_internal("a scaled right-hand side",
-                     lambda: quasidet._back_substitute(z, entries, factor))
+                     lambda: quasidet._back_substitute(z, scale, factor))
 
 
 @pytest.mark.parametrize("corrupt", ["inner determinant", "last row scale"])
 def test_unknown_division_is_checked(corrupt):
-    a, elimination, entries, z = _system(5)
-    echelon, columns, row_scales, dets, inverses, below = quasidet._factor(a, *elimination)
+    _, elimination, _, z, scale = _system(5)
+    echelon, row_scales, dets, inverses, below = quasidet._factor(*elimination)
     if corrupt == "inner determinant":
         # the middle unknown's sum is divided by r_1 * (D_2 + 1)
         dets = dets[:1] + [dets[1] + 1] + dets[2:]
     else:
         # the last unknown is W_2 / r_2
         row_scales = row_scales[:2] + [row_scales[2] * _PRIME]
-    factor = (echelon, columns, row_scales, dets, inverses, below)
+    factor = (echelon, row_scales, dets, inverses, below)
     _raises_internal("a back-substituted unknown",
-                     lambda: quasidet._back_substitute(z, entries, factor))
+                     lambda: quasidet._back_substitute(z, scale, factor))
+
+
+# -- one row reduced against the echelon rows ------------------------------------
+#
+# ``_reduce`` keeps the row as integer numerators over one denominator and
+# updates whole rows at a time.  Its definition is the per-entry reduction
+# below, ``x - lambda * E_j`` in ``Quaternion`` arithmetic, with each echelon
+# entry read as a quaternion.
+
+
+def _quaternion(w, x, y, z, den):
+    return Quaternion(Fraction(w, den), Fraction(x, den), Fraction(y, den), Fraction(z, den))
+
+
+def per_entry_reduction(entries, echelon):
+    entries = list(entries)
+    leads = []
+    for pivot, tail, t, den in echelon:
+        lead = entries[pivot]
+        if lead.is_zero():
+            continue
+        entries[pivot] = Quaternion.zero()
+        for j, w, x, y, z in tail:
+            entries[j] = entries[j] - lead * _quaternion(w, x, y, z, den)
+        leads.append((t, lead))
+    return leads, entries
+
+
+_entries = st.one_of(
+    st.just(Quaternion.zero()),
+    st.builds(
+        Quaternion,
+        *[st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))] * 4,
+    ),
+)
+
+
+@st.composite
+def _reductions(draw):
+    """A matrix of at most 5 x 5 entries, zeros among them, and a row."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    row = st.lists(_entries, min_size=n, max_size=n)
+    return Matrix(draw(st.lists(row, min_size=m, max_size=m)), cols=n), draw(row)
+
+
+def _parsed(matrix, row):
+    return parse_matrix(matrix), [parse_quaternion(e) for e in row.split(",")]
+
+
+_WIDE_PIVOT = Quaternion(2**200, 1, 0, 0)
+
+
+@given(_reductions())
+# the echelon row's denominator is 1: its pivot is 1
+@example(_parsed("[1, 2+i, j]", "3, k, 1/2"))
+# the echelon row's denominator N(2^200 + i) exceeds _WIDE, and so does the
+# step's
+@example((Matrix([[_WIDE_PIVOT, Quaternion(1), Quaternion(0, 1)]]),
+          [Quaternion(0, 0, 1), Quaternion(1), Quaternion(Fraction(1, 3))]))
+# a zero lead: the first step clears the second pivot column too
+@example(_parsed("[1, 1, 0; 0, i, 1]", "1, 1, 5"))
+# the first echelon row's denominator 2 divides every numerator after the
+# second step, so the row is over 2 * 3 / 2
+@example(_parsed("[-1-j, i+j, 1+k; 1-j, -1-i-j, -1+j]", "1+k, i+k, 1+j-k"))
+# the second step's numerators are not all divisible by the first echelon
+# row's denominator 10, only by 5, so the row is over 10 * 13 / 5
+@example(_parsed("[1-i+2j-2k, 2+2j-k, -2+2i+2j-k; -2i+2j-2k, 2-2i+2j-k, 1+2i+j]",
+                 "1+2i+j, -i-j-k, -2+2i+2k"))
+def test_reduce_matches_per_entry_reduction(reduction):
+    a, entries = reduction
+    _, echelon, _, _ = quasidet._eliminate_rows(a)
+    row, scale = quasidet._numerators(entries)
+    leads, rest, den = quasidet._reduce(row, scale, echelon)
+    expected_leads, expected_rest = per_entry_reduction(entries, echelon)
+    assert [(t, _quaternion(*lead)) for t, lead in leads] == expected_leads
+    assert [_quaternion(*numerators, den) for numerators in rest] == expected_rest
+
+
+def test_reduce_examples_reach_their_cases():
+    """The explicit examples above meet what their comments say."""
+    _, echelon, _, _ = quasidet._eliminate_rows(parse_matrix("[1, 2+i, j]"))
+    assert echelon[0][3] == 1
+    a = Matrix([[_WIDE_PIVOT, Quaternion(1), Quaternion(0, 1)]])
+    _, echelon, _, _ = quasidet._eliminate_rows(a)
+    assert echelon[0][3] > _WIDE
+    a, entries = _parsed("[1, 1, 0; 0, i, 1]", "1, 1, 5")
+    _, echelon, _, _ = quasidet._eliminate_rows(a)
+    leads, _, _ = quasidet._reduce(*quasidet._numerators(entries), echelon)
+    assert [t for t, _ in leads] == [0]
+    a, entries = _parsed("[-1-j, i+j, 1+k; 1-j, -1-i-j, -1+j]", "1+k, i+k, 1+j-k")
+    _, echelon, _, _ = quasidet._eliminate_rows(a)
+    assert [e[3] for e in echelon] == [2, 3]
+    assert quasidet._reduce(*quasidet._numerators(entries), echelon)[2] == 3
+    a, entries = _parsed("[1-i+2j-2k, 2+2j-k, -2+2i+2j-k; -2i+2j-2k, 2-2i+2j-k, 1+2i+j]",
+                         "1+2i+j, -i-j-k, -2+2i+2k")
+    _, echelon, _, _ = quasidet._eliminate_rows(a)
+    assert [e[3] for e in echelon] == [10, 13]
+    assert quasidet._reduce(*quasidet._numerators(entries), echelon)[2] == 26
