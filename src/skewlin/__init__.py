@@ -5,23 +5,16 @@ transpose duality functor, with quasideterminants, minor-based rank, exact
 solvers for ``x * A = b``, coordinate vector-space models, finite
 representation morphisms and their factorization, and fiberwise algebra over
 finite bases.
+
+``import skewlin`` loads the linear-algebra core: the quaternions, matrices,
+quasideterminants, rank and solvers, and the vector-space models.  The names
+of the two feature modules, ``representations`` (finite representation
+morphisms) and ``bundles`` (fiberwise algebra), are listed in ``_LAZY`` and
+load their module on first access, so a program that never touches them
+never pays for importing them.  ``dir(skewlin)`` and ``from skewlin import
+*`` include them either way.
 """
 
-from .bundles import (
-    Base,
-    Bijection,
-    FiberedLinearMap,
-    FiberOperation,
-    Section,
-    add_sections,
-    apply_fibered_map,
-    check_transition,
-    compose_fibered_maps,
-    lift_operation,
-    scalar_action,
-    section_from_json,
-    section_to_json,
-)
 from .errors import (
     BaseMismatchError,
     DimensionMismatch,
@@ -69,27 +62,6 @@ from .rank import (
     row_dependence,
     solve_general,
 )
-from .representations import (
-    FiniteMonoid,
-    FiniteRepresentation,
-    MorphismDecomposition,
-    RepMorphism,
-    RepresentationTraits,
-    check_morphism,
-    classify,
-    compose_morphisms,
-    cyclic_monoid,
-    decompose_morphism,
-    identity_morphism,
-    morphism_from_base_points,
-    morphism_from_json,
-    morphism_to_json,
-    reduced_action,
-    representation_from_json,
-    representation_to_json,
-    rotation_representation,
-    validate_representation,
-)
 from .spaces import (
     BasisModel,
     apply_map,
@@ -101,3 +73,60 @@ from .spaces import (
 )
 
 __version__ = "0.1.0"
+
+# Each name of the two feature modules, and each module itself, with the
+# submodule that defines it: resolved on first access (PEP 562).
+_LAZY = {
+    "bundles": "bundles",
+    "Base": "bundles",
+    "Bijection": "bundles",
+    "FiberedLinearMap": "bundles",
+    "FiberOperation": "bundles",
+    "Section": "bundles",
+    "add_sections": "bundles",
+    "apply_fibered_map": "bundles",
+    "check_transition": "bundles",
+    "compose_fibered_maps": "bundles",
+    "lift_operation": "bundles",
+    "scalar_action": "bundles",
+    "section_from_json": "bundles",
+    "section_to_json": "bundles",
+    "representations": "representations",
+    "FiniteMonoid": "representations",
+    "FiniteRepresentation": "representations",
+    "MorphismDecomposition": "representations",
+    "RepMorphism": "representations",
+    "RepresentationTraits": "representations",
+    "check_morphism": "representations",
+    "classify": "representations",
+    "compose_morphisms": "representations",
+    "cyclic_monoid": "representations",
+    "decompose_morphism": "representations",
+    "identity_morphism": "representations",
+    "morphism_from_base_points": "representations",
+    "morphism_from_json": "representations",
+    "morphism_to_json": "representations",
+    "reduced_action": "representations",
+    "representation_from_json": "representations",
+    "representation_to_json": "representations",
+    "rotation_representation": "representations",
+    "validate_representation": "representations",
+}
+
+__all__ = [name for name in globals() if not name.startswith("_")] + list(_LAZY)
+
+
+def __getattr__(name):
+    """Import the submodule of a name in ``_LAZY`` and keep the name here,
+    so later lookups do not come back."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = import_module(f"{__name__}.{_LAZY[name]}")
+    value = globals()[name] = module if name == _LAZY[name] else getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -11,11 +11,15 @@ singular matrix from a typo:
 with a one-line ``error: <code>[: detail]`` diagnostic on stderr.  A failed
 self-check of the exact kernel, which no input should cause, reports
 ``error: internal: <detail>`` with status 1.
+
+Importing this module loads the linear-algebra core and ``argparse`` only:
+``json`` is imported where a JSON form is read or written, and the
+representations module inside ``repr-decompose``, its one user, so a text
+request never loads either.
 """
 
 import argparse
 import functools
-import json
 import sys
 from collections import namedtuple
 
@@ -35,13 +39,6 @@ from .quasidet import (
 )
 from .quaternion import _lowest_terms, format_quaternion
 from .rank import cr_rank, rc_rank, solve_general
-from .representations import (
-    decompose_morphism,
-    morphism_from_json,
-    morphism_to_json,
-    representation_from_json,
-    representation_to_json,
-)
 
 REFERENCE_EXAMPLE = parse_matrix("[k, -i; -1+k, -i-j]")
 
@@ -153,6 +150,8 @@ def _parse_position(text):
 def _emit(out, args, value, to_text, to_json):
     """Print ``value`` in the requested form, building only that form."""
     if args.format == "json":
+        import json
+
         print(json.dumps(to_json(value), sort_keys=True), file=out)
     else:
         print(to_text(value), file=out)
@@ -229,6 +228,16 @@ def _run_solve(args, out):
 
 
 def _run_repr_decompose(args, out):
+    import json
+
+    from .representations import (
+        decompose_morphism,
+        morphism_from_json,
+        morphism_to_json,
+        representation_from_json,
+        representation_to_json,
+    )
+
     if len(args.file) > 1:
         raise ValueError(f"expected 1 JSON input, got {len(args.file)}")
     try:

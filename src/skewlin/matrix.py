@@ -20,24 +20,40 @@ rank index sets) are 1-based, matching the index conventions of the
 underlying calculus; raw ``matrix[i, j]`` access is plain 0-based Python.
 """
 
-from dataclasses import dataclass
 from itertools import chain, repeat
 
 from .errors import DimensionMismatch, ParseError
 from .quaternion import Quaternion, _dot, format_quaternion, parse_quaternion
 
 
-@dataclass(frozen=True, init=False)
-class Matrix:
+class _Frozen:
+    """Immutability as a frozen dataclass has it: assigning or deleting any
+    attribute raises ``dataclasses.FrozenInstanceError`` with the dataclass's
+    message.  ``dataclasses`` is imported only to raise it, so the value types
+    of the core cost no import of it."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Matrix(_Frozen):
     """Immutable rectangular matrix of :class:`Quaternion` entries.
 
     Any other entry type raises ``TypeError``.  Empty matrices (0 rows and/or
-    0 columns) are permitted; they carry the recursion base cases.
+    0 columns) are permitted; they carry the recursion base cases.  Two
+    matrices are equal when their cells and column counts are, so a 0 x 2
+    matrix differs from a 0 x 3 one.
     """
 
-    cells: tuple
-    rows: int
-    cols: int
+    __slots__ = ("cells", "rows", "cols")
+    __match_args__ = __slots__
 
     def __init__(self, cells, cols=None):
         """``cells`` is a sequence of rows, each a sequence of quaternions.
@@ -60,6 +76,17 @@ class Matrix:
         object.__setattr__(self, "cells", grid)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.cells == other.cells and self.cols == other.cols
+
+    def __hash__(self):
+        return hash((self.cells, self.rows, self.cols))
+
+    def __reduce__(self):
+        return Matrix, (self.cells, self.cols)
 
     # -- constructors --------------------------------------------------------
 

@@ -37,10 +37,10 @@ forms an inverse:
 All index sets are 1-based and refer to the matrix's own display grid.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DimensionMismatch, InvalidRowError, SingularMatrixError
-from .matrix import Matrix, rc_product
+from .matrix import Matrix, _Frozen, rc_product
 from .quasidet import (
     _back_substitute,
     _eliminate_rows,
@@ -53,17 +53,16 @@ from .quasidet import (
 from .quaternion import Quaternion
 
 
-@dataclass(frozen=True)
-class IndexSelection:
-    """Row and column index sets of equal size, 1-based, strictly increasing."""
+class IndexSelection(_Frozen, namedtuple("IndexSelection", "rows cols")):
+    """Row and column index sets of equal size, 1-based, strictly increasing.
 
-    rows: tuple
-    cols: tuple
+    A named tuple that checks its fields: ``_make`` and ``_replace`` build
+    through the constructor, so no instance skips the checks."""
 
-    def __post_init__(self):
-        rows, cols = tuple(self.rows), tuple(self.cols)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+    __slots__ = ()
+
+    def __new__(cls, rows, cols):
+        rows, cols = tuple(rows), tuple(cols)
         if len(rows) != len(cols):
             raise ValueError("row and column sets must have equal size")
         for seq in (rows, cols):
@@ -73,12 +72,18 @@ class IndexSelection:
                 raise ValueError(
                     f"indices must be distinct 1-based naturals in increasing order: {seq}"
                 )
+        return super().__new__(cls, rows, cols)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class RankReport:
-    rank: int
-    minor: "IndexSelection | None"  # None exactly when rank == 0
+class RankReport(_Frozen, namedtuple("RankReport", "rank minor")):
+    """The rank and the major minor's :class:`IndexSelection`; ``minor`` is
+    None exactly when ``rank`` is 0."""
+
+    __slots__ = ()
 
 
 def rc_rank(a):
@@ -119,21 +124,20 @@ def row_dependence(a, report, p):
     return solve_nonsingular(core, Matrix.row(outside))
 
 
-@dataclass(frozen=True)
-class SolutionSet:
+class SolutionSet(_Frozen, namedtuple(
+        "SolutionSet", "consistent particular homogeneous_basis free_variables")):
     """Complete description of the solutions of ``x * a = b``.
 
-    ``particular`` has every free variable set to zero; each homogeneous
-    basis row activates exactly one free variable with value one.  Every
-    solution is ``particular`` plus a left-scalar combination of the basis
-    rows.  The basis describes ``x * a = 0`` and is reported even for
-    inconsistent systems.
+    ``particular`` (a 1 x m row, or None when inconsistent) has every free
+    variable set to zero; each row of the tuple ``homogeneous_basis``
+    activates exactly one free variable with value one, and
+    ``free_variables`` holds their 1-based row numbers.  Every solution is
+    ``particular`` plus a left-scalar combination of the basis rows.  The
+    basis describes ``x * a = 0`` and is reported even for inconsistent
+    systems.
     """
 
-    consistent: bool
-    particular: "Matrix | None"
-    homogeneous_basis: tuple
-    free_variables: tuple
+    __slots__ = ()
 
 
 def solve_general(a, b):

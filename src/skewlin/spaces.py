@@ -24,19 +24,18 @@ here are aliases that read a matrix operation as an operation on maps:
   identity.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .matrix import Matrix, rc_product, transpose
+from .matrix import _Frozen, rc_product, transpose
 from .quasidet import is_rc_nonsingular, solve_nonsingular
 from .rank import rc_rank
 
 
-@dataclass(frozen=True)
-class BasisModel:
+class BasisModel(_Frozen, namedtuple("BasisModel", "matrix")):
     """A basis given by its coordinate matrix: row ``a`` holds the
     coordinates of the a-th basis vector in the ambient space."""
 
-    matrix: Matrix
+    __slots__ = ()
 
 
 def expand_in_basis(v, basis):

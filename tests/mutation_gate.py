@@ -27,6 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+INIT = "src/skewlin/__init__.py"
 QUATERNION = "src/skewlin/quaternion.py"
 MATRIX = "src/skewlin/matrix.py"
 QUASIDET = "src/skewlin/quasidet.py"
@@ -38,6 +39,7 @@ TEST_MATRIX = "tests/test_matrix.py::"
 TEST_ORACLE = "tests/test_elimination_oracle.py::"
 TEST_QUASIDET = "tests/test_quasidet.py::"
 TEST_CHI = "tests/test_chi_oracle.py::"
+TEST_VALUES = "tests/test_value_types.py::"
 
 MUTANTS = [
     # _product: one sign in the w numerator
@@ -204,6 +206,31 @@ MUTANTS = [
      "    if rc_product(particular, a) != b:\n",
      "    if False:\n",
      ["tests/test_cli.py::test_particular_solution_self_check_failure_is_internal"]),
+    # Matrix.__eq__: the column count no longer compared
+    (MATRIX,
+     "        return self.cells == other.cells and self.cols == other.cols",
+     "        return self.cells == other.cells",
+     [TEST_VALUES + "test_matrices_differ_by_entries_shape_and_type"]),
+    # Matrix.__reduce__: the column count dropped
+    (MATRIX,
+     "        return Matrix, (self.cells, self.cols)",
+     "        return Matrix, (self.cells,)",
+     [TEST_VALUES + "test_zero_row_matrix_keeps_its_width_through_pickle_and_copy"]),
+    # _Frozen.__delattr__: a deletion no longer raises
+    (MATRIX,
+     '        raise FrozenInstanceError(f"cannot delete field {name!r}")',
+     "        return",
+     [TEST_VALUES + "test_values_are_frozen"]),
+    # IndexSelection: a repeated index accepted
+    (RANK,
+     "                i < j for i, j in zip((0,) + seq, seq)",
+     "                i <= j for i, j in zip((0,) + seq, seq)",
+     [TEST_VALUES + "test_index_selection_rejects_bad_sets_however_built"]),
+    # the lazy-name table: one name mapped to the other feature module
+    (INIT,
+     '    "Section": "bundles",',
+     '    "Section": "representations",',
+     ["tests/test_public_api.py::test_lazy_names_are_what_their_module_defines"]),
 ]
 
 # Runs pytest in the child, then exits 99 unless skewlin came from the copy

@@ -2,6 +2,7 @@
 states what the library computes."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,33 @@ def test_kept_alias_is_its_target(alias, target):
 )
 def test_second_spelling_is_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+@pytest.mark.parametrize("module_name", ["bundles", "representations"])
+def test_lazy_names_are_what_their_module_defines(module_name):
+    module = importlib.import_module(f"skewlin.{module_name}")
+    defined = {name for name, value in vars(module).items()
+               if not name.startswith("_") and getattr(value, "__module__", None) == module.__name__}
+    listed = {name for name, owner in skewlin._LAZY.items() if owner == module_name}
+    assert listed == defined | {module_name}
+    assert getattr(skewlin, module_name) is module
+    for name in defined:
+        assert getattr(skewlin, name) is getattr(module, name)
+
+
+def test_lazy_names_are_listed_and_star_imported():
+    names = dir(skewlin)
+    assert names == sorted(names) and set(skewlin._LAZY) <= set(names)
+    namespace = {}
+    exec("from skewlin import *", namespace)
+    for name in [*skewlin._LAZY, "Matrix", "rc_rank", "SingularMatrixError", "BasisModel"]:
+        assert namespace[name] is getattr(skewlin, name)
+    assert not {name for name in namespace if name.startswith("_")} - {"__builtins__"}
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'skewlin' has no attribute 'Sections'"):
+        skewlin.Sections
 
 
 def test_scalars_act_on_matrices_through_scale_left_only():
