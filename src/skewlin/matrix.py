@@ -191,7 +191,10 @@ class Matrix(_Frozen):
         return format_matrix(self)
 
     def __repr__(self):
-        return f"Matrix({format_matrix(self)!r})"
+        if self.rows and self.cols:
+            return f"Matrix({format_matrix(self)!r})"
+        # every empty matrix's text form is "[]", which drops the shape
+        return f"Matrix.zeros({self.rows}, {self.cols})"
 
 
 def _check_size(n, what):

@@ -25,7 +25,13 @@ numerators of the pivot, ``E = conj(P) * row / N(P)``, in which the row's
 own denominator cancels, divided by its content so that it is primitive.
 That content gcd, one per kept row, and the gcd after a remainder are all
 the gcds the pass takes, where a quaternion per entry would pay a five-way
-gcd for every update.
+gcd for every update.  Each echelon row's entries are the right factor of
+every later step against it: when its pivot norm ``N(P)`` exceeds
+``quaternion._WIDE`` the row also stores their eight Howell and Lafon sums
+(``quaternion._right_sums``), and each step forms the lead's eight once, so
+a wide entry update is eight multiplications.  Rows at or below ``_WIDE``
+keep the sixteen multiplications inline, which cost less than forming and
+storing sums on small numerators.
 
 :func:`_solve_row` finds the left coefficients ``x`` on the kept rows with
 ``x * (kept rows) == b``, for one row ``b``, in two steps: reducing ``b``
@@ -41,13 +47,19 @@ are integers.  By Sylvester's identity in quasideterminant form (Gelfand,
 Gelfand, Retakh and Wilson), ``D_{t+1}`` clears the denominators of
 ``pi_t^-1``, of the scaled multipliers ``r_k * lambda_kt * pi_t^-1 / r_t``
 and, for an integral ``b``, of ``z_t * pi_t^-1``, and ``D_n`` those of the
-solution.  :func:`_factor` scales these quantities to integers once per
-matrix; :func:`_back_substitute` then solves with one sum of integer products
-over ``D_{j+1}`` and one exact division per unknown, and normalises each
-entry of the result with one gcd, where rational sums would pay a gcd per
-term and a last one at over twice the result's size.  Every exact division
-is checked: a remainder raises an ``internal:``
-:class:`SingularMatrixError`, never a wrong value.  A square matrix is
+solution.  The pass records each pivot as it found it, the numerators ``P``
+of ``pi_t = P / den`` over the reduced row's denominator, and
+:func:`_factor` takes ``D_{t+1}`` and ``D_{t+1} * pi_t^-1`` from them by
+exact divisions, with no gcd to put ``pi_t^-1`` in lowest terms.  It scales
+these quantities to integers once per matrix; :func:`_back_substitute` then
+solves with one sum of integer products over ``D_{j+1}`` and one exact
+division per unknown, and normalises each entry of the result with one gcd,
+where rational sums would pay a gcd per term and a last one at over twice
+the result's size.  When ``D_n`` exceeds ``_WIDE``, the scaled multipliers
+are stored as their right sums and each unknown's left sums are formed
+once, as for the echelon rows.  Every exact division is checked: a
+remainder raises an ``internal:`` :class:`SingularMatrixError`, never a
+wrong value.  A square matrix is
 invertible exactly when the pass keeps every row.  :func:`solve_nonsingular`
 is the one nonsingular solve: it checks that, factors ``a`` once and solves
 ``x * a == b`` for each row ``b``.  :func:`rc_inverse` is its solution for
@@ -89,7 +101,15 @@ from math import gcd, lcm
 
 from .errors import DimensionMismatch, SingularMatrixError
 from .matrix import Matrix, rc_product
-from .quaternion import _WIDE, Quaternion, _build, _dot, _product
+from .quaternion import (
+    _WIDE,
+    Quaternion,
+    _build,
+    _dot,
+    _left_sums,
+    _product,
+    _right_sums,
+)
 
 _NIL = (0, 0, 0, 0)  # the numerators of a zero entry
 
@@ -109,18 +129,23 @@ def _eliminate_rows(matrix):
     """One forward elimination pass over the rows of ``matrix``, in order,
     with left row operations, stopping once every column holds a pivot.
 
-    Returns ``(kept, echelon, scales, leads)``.  ``kept`` lists the 0-based
+    Returns ``(kept, echelon, pivots, leads)``.  ``kept`` lists the 0-based
     rows that stayed independent of the rows before them; a kept row's
     position in ``kept`` is its kept index.  ``echelon`` holds one
-    ``(pivot, tail, t, den)`` per kept row, sorted by pivot column: the row
-    ``E_t`` of kept index ``t`` reduced against the earlier kept rows and
-    scaled to a one at its pivot.  It is stored as integer numerators over
-    ``den``, and ``tail`` holds one ``(column, w, x, y, z)`` for every
-    column right of the pivot.  With ``P`` the numerators of the reduced
-    row's pivot ``pi_t``, ``E_t = conj(P) * row / N(P)``: the row's own
-    denominator cancels, and dividing by the content (the gcd of ``N(P)``
-    and every numerator) leaves the stored row primitive.  ``scales[t]`` is
-    ``pi_t^-1``.  ``leads[p]`` is the pair of the multipliers ``(t,
+    ``(pivot, tail, t, den, right)`` per kept row, sorted by pivot column:
+    the row ``E_t`` of kept index ``t`` reduced against the earlier kept
+    rows and scaled to a one at its pivot.  It is stored as integer
+    numerators over ``den``, and ``tail`` holds one ``(column, w, x, y,
+    z)`` for every column right of the pivot.  With ``P`` the numerators of
+    the reduced row's pivot ``pi_t``, ``E_t = conj(P) * row / N(P)``: the
+    row's own denominator cancels, and dividing by the content (the gcd of
+    ``N(P)`` and every numerator) leaves the stored row primitive.  When
+    ``N(P)`` exceeds ``_WIDE``, ``right`` holds one ``(column, *sums)`` per
+    tail entry, its eight ``_right_sums``, for :func:`_reduce`; otherwise
+    it is None.  ``pivots[t]`` is ``(a, b, c, d, den)``: ``P`` over the
+    reduced row's denominator, so ``pi_t = P / den``, not in lowest terms;
+    :func:`_factor` reads its inverse off it.  ``leads[p]`` is the pair of
+    the multipliers ``(t,
     lambda)`` the reduction of row ``p`` applied, one per echelon row it met
     with a nonzero lead, and the row's scale, the lcm of its denominators.
     Each ``lambda`` is the tuple ``(w, x, y, z, d)`` of its numerators over
@@ -131,7 +156,7 @@ def _eliminate_rows(matrix):
     dependent, and :func:`_reduce` against the final ``echelon`` gives its
     multipliers.
     """
-    kept, echelon, scales, leads = [], [], [], []
+    kept, echelon, pivots, leads = [], [], [], []
     cols = matrix.cols
     for p, cells in enumerate(matrix.cells):
         if len(echelon) == cols:
@@ -162,11 +187,12 @@ def _eliminate_rows(matrix):
         if content > 1:
             tail = [(j, w // content, x // content, y // content, z // content)
                     for j, w, x, y, z in tail]
-        echelon.append((pivot, tail, len(kept), norm // content))
+        right = [(j, *_right_sums(e, f, g, h)) for j, e, f, g, h in tail] if wide else None
+        echelon.append((pivot, tail, len(kept), norm // content, right))
         echelon.sort(key=lambda row: row[0])
         kept.append(p)
-        scales.append(_build(den * a, -den * b, -den * c, -den * d, norm))
-    return kept, echelon, scales, leads
+        pivots.append((a, b, c, d, den))
+    return kept, echelon, pivots, leads
 
 
 def _reduce(row, den, echelon):
@@ -181,7 +207,10 @@ def _reduce(row, den, echelon):
 
     Against an echelon row ``T / d_E`` and with the lead's numerators
     ``L``, a step is ``X * d_E - L * T`` on the integers, over ``den *
-    d_E``.  By Sylvester's identity, as in Bareiss's fraction-free
+    d_E``.  Against a wide echelon row, one that stores the right sums of
+    ``T``, the lead's left sums are formed once per step and each ``L *
+    T`` takes eight multiplications; against any other, the sixteen
+    inline.  By Sylvester's identity, as in Bareiss's fraction-free
     elimination, the denominator of the previous step's echelon row usually
     divides every numerator after this one: the row is then divided by it
     once, the quotients checked by their remainders.  Where a remainder
@@ -189,29 +218,39 @@ def _reduce(row, den, echelon):
     numerators."""
     leads = []
     previous = 1
-    for pivot, tail, t, scale in echelon:
+    for pivot, tail, t, scale, right in echelon:
         a, b, c, d = row[pivot]
         if not (a or b or c or d):
             continue
         leads.append((t, (a, b, c, d, den)))
         row[pivot] = _NIL
         den *= scale
-        wide = den > _WIDE
         # left of the pivot, only columns without a pivot can be nonzero
         for j in range(pivot):
             w, x, y, z = row[j]
             if w or x or y or z:
                 row[j] = (w * scale, x * scale, y * scale, z * scale)
-        for j, e, f, g, h in tail:
-            w, x, y, z = row[j]
-            if wide:
-                pw, px, py, pz = _product(a, b, c, d, e, f, g, h)
-            else:
+        if right is None:
+            for j, e, f, g, h in tail:
+                w, x, y, z = row[j]
                 pw = a * e - b * f - c * g - d * h
                 px = a * f + b * e + c * h - d * g
                 py = a * g - b * h + c * e + d * f
                 pz = a * h + b * g - c * f + d * e
-            row[j] = (w * scale - pw, x * scale - px, y * scale - py, z * scale - pz)
+                row[j] = (w * scale - pw, x * scale - px, y * scale - py, z * scale - pz)
+        else:
+            l0, l1, l2, l3, lw, lx, ly, lz = _left_sums(a, b, c, d)
+            for j, r0, r1, r2, r3, rw, rx, ry, rz in right:
+                w, x, y, z = row[j]
+                m1 = l1 * r1
+                m2 = l2 * r2
+                m3 = l3 * r3
+                m123 = m1 + m2 + m3
+                half = (l0 * r0 + m123) >> 1
+                row[j] = (w * scale - half + m1 - lw * rw,
+                          x * scale - half + m123 - lx * rx,
+                          y * scale - half + m3 - ly * ry,
+                          z * scale - half + m2 - lz * rz)
         if previous > 1:
             quotients = []
             for w, x, y, z in row:
@@ -273,7 +312,7 @@ def _integral_product(scale, q, p, divisor, what):
     return _quotient(scale * w, scale * x, scale * y, scale * z, den, what)
 
 
-def _factor(kept, echelon, scales, leads):
+def _factor(kept, echelon, pivots, leads):
     """The integral factors ``(echelon, row_scales, dets, inverses, below)``
     of the kept rows of one elimination that :func:`_back_substitute` solves
     with.
@@ -290,34 +329,51 @@ def _factor(kept, echelon, scales, leads):
 
     By Sylvester's identity in quasideterminant form, ``D_{t+1}`` clears the
     denominators of ``pi_t^-1`` and of ``r_k * mu_kt / r_t``, where ``mu_kt
-    = lambda_kt * pi_t^-1``.  With ``pi_t^-1 = (w, x, y, z) / e`` in lowest
-    terms, ``N(pi_t)`` is ``e^2 / (w^2 + x^2 + y^2 + z^2)`` and ``e``
-    divides ``D_{t+1}``, so one exact division gives the small ``c = D_{t+1}
-    / e``, and ``inverses[t]`` holds ``c * (w, x, y, z)``, the numerators of
-    ``P_t = D_{t+1} * pi_t^-1``.  ``below[j]`` lists ``(k, M_kj)`` with
+    = lambda_kt * pi_t^-1``.  With ``pivots[t]`` the numerators ``P`` of
+    ``pi_t`` over ``den``, ``N(pi_t) = N(P) / den^2`` and ``pi_t^-1 = den *
+    conj(P) / N(P)``, so
+
+        D_{t+1} = D_t * r_t^2 * N(P) / den^2,
+        P_t = D_{t+1} * pi_t^-1 = D_t * r_t^2 * conj(P) / den,
+
+    each an exact division, and ``inverses[t]`` holds the numerators of
+    ``P_t``: one quotient times ``conj(P)`` where ``den`` divides ``D_t *
+    r_t^2``, else each numerator divided.  ``below[j]`` lists ``(k, M_kj)``
+    with
 
         M_kj = -r_k * lambda_kj * P_j = -r_k * D_{j+1} * mu_kj,
 
     for the kept rows ``k`` whose reduction met echelon row ``j`` with the
     lead ``lambda_kj``: column ``j`` of ``L`` below its diagonal, divided on
     the right by the diagonal entry and scaled to an integral quaternion
-    once here rather than once per solve.  Every division is exact, and
+    once here rather than once per solve.  ``M_kj`` is its four numerators
+    when ``D_n`` is at most ``_WIDE`` and its eight ``_right_sums`` past it,
+    for :func:`_back_substitute`, which compares the same ``D_n``: every
+    solve multiplies by each ``M_kj``.  Every division is exact, and
     checked."""
     det = 1
-    row_scales, dets, inverses, below = [], [], [], []
-    for k, (p, (w, x, y, z, e)) in enumerate(zip(kept, scales)):
-        multipliers, r = leads[p]
-        # row k met only the echelon rows kept before it
-        for j, lead in multipliers:
-            below[j].append((k, _integral_product(-r, lead, inverses[j], 1, "a scaled multiplier")))
-        c, rest = divmod(det * r * r * e, w * w + x * x + y * y + z * z)
+    row_scales, dets, inverses = [], [], []
+    for p, (a, b, c, d, den) in zip(kept, pivots):
+        r = leads[p][1]
+        scaled = det * r * r
+        det, rest = divmod(scaled * (a * a + b * b + c * c + d * d), den * den)
         if rest:
             raise SingularMatrixError("internal: a prefix Study determinant is not integral")
-        det = c * e
+        s, rest = divmod(scaled, den)
+        if rest:
+            inverses.append(_quotient(scaled * a, -scaled * b, -scaled * c, -scaled * d, den,
+                                      "a scaled pivot inverse"))
+        else:
+            inverses.append((s * a, -s * b, -s * c, -s * d))
         row_scales.append(r)
         dets.append(det)
-        inverses.append((c * w, c * x, c * y, c * z))
-        below.append([])
+    wide = det > _WIDE
+    below = [[] for _ in dets]
+    for k, p in enumerate(kept):
+        multipliers, r = leads[p]
+        for j, lead in multipliers:
+            m = _integral_product(-r, lead, inverses[j], 1, "a scaled multiplier")
+            below[j].append((k, _right_sums(*m) if wide else m))
     return echelon, row_scales, dets, inverses, below
 
 
@@ -341,7 +397,10 @@ def _back_substitute(z, scale, factor):
     unknown (for the last, ``Y_j = W_j / r_j``).  ``D * d`` is a common
     denominator of the solution, so each entry ``y_j = r_j * Y_j / (D * d)``
     is normalised with one gcd; the first unknown's sum, which no other
-    unknown needs, goes to that gcd undivided, over ``D_1 * D * d``.  Every
+    unknown needs, goes to that gcd undivided, over ``D_1 * D * d``.  Where
+    :func:`_factor` stored each ``M_kj`` as its right sums (``D_n`` past
+    ``_WIDE``), each ``Y_k`` is kept as its left sums, formed once for
+    every sum it enters, and each term takes eight multiplications.  Every
     division is exact and checked."""
     _, row_scales, dets, inverses, below = factor
     last = len(row_scales) - 1
@@ -349,10 +408,11 @@ def _back_substitute(z, scale, factor):
         return []
     top = dets[last]
     den = top * scale
-    wide = den > _WIDE  # the width of the integers Y_k = D_n * d * y_k / r_k
+    wide = top > _WIDE  # as in _factor: each M_kj is its right sums
     zero = Quaternion.zero()
     y = [zero] * (last + 1)
-    integral = [None] * (last + 1)  # Y_j, which the earlier unknowns' sums need
+    # Y_j, or its left sums when wide, which the earlier unknowns' sums need
+    integral = [None] * (last + 1)
     sums = [None] * (last + 1)
     for j, value in z:
         if j < last:
@@ -360,25 +420,34 @@ def _back_substitute(z, scale, factor):
             sums[j] = (top * w[0], top * w[1], top * w[2], top * w[3])
         elif j:
             r = row_scales[j]
-            yw, yx, yy, yz = integral[j] = _integral_product(
+            yw, yx, yy, yz = _integral_product(
                 scale, value, inverses[j], r, "a back-substituted unknown")
             y[j] = _build(r * yw, r * yx, r * yy, r * yz, den)
+            integral[j] = _left_sums(yw, yx, yy, yz) if wide else (yw, yx, yy, yz)
         else:
             w = _integral_product(scale, value, inverses[j], 1, "a scaled right-hand side")
             y[j] = _build(*w, den)
     for j in reversed(range(last)):
-        sw, sx, sy, sz = sums[j] or (0, 0, 0, 0)
-        for k, (e, f, g, h) in below[j]:
-            if integral[k] is None:
-                continue
-            a, b, c, d = integral[k]
-            if wide:
-                pw, px, py, pz = _product(a, b, c, d, e, f, g, h)
-                sw += pw
-                sx += px
-                sy += py
-                sz += pz
-            else:
+        sw, sx, sy, sz = sums[j] or _NIL
+        if wide:
+            for k, (r0, r1, r2, r3, rw, rx, ry, rz) in below[j]:
+                if integral[k] is None:
+                    continue
+                l0, l1, l2, l3, lw, lx, ly, lz = integral[k]
+                m1 = l1 * r1
+                m2 = l2 * r2
+                m3 = l3 * r3
+                m123 = m1 + m2 + m3
+                half = (l0 * r0 + m123) >> 1
+                sw += half - m1 + lw * rw
+                sx += half - m123 + lx * rx
+                sy += half - m3 + ly * ry
+                sz += half - m2 + lz * rz
+        else:
+            for k, (e, f, g, h) in below[j]:
+                if integral[k] is None:
+                    continue
+                a, b, c, d = integral[k]
                 sw += a * e - b * f - c * g - d * h
                 sx += a * f + b * e + c * h - d * g
                 sy += a * g - b * h + c * e + d * f
@@ -387,9 +456,9 @@ def _back_substitute(z, scale, factor):
             continue
         if j:
             r = row_scales[j]
-            yw, yx, yy, yz = integral[j] = _quotient(
-                sw, sx, sy, sz, r * dets[j], "a back-substituted unknown")
+            yw, yx, yy, yz = _quotient(sw, sx, sy, sz, r * dets[j], "a back-substituted unknown")
             y[j] = _build(r * yw, r * yx, r * yy, r * yz, den)
+            integral[j] = _left_sums(yw, yx, yy, yz) if wide else (yw, yx, yy, yz)
         else:
             y[j] = _build(sw, sx, sy, sz, dets[0] * den)
     return y
@@ -415,10 +484,10 @@ def solve_nonsingular(a, b):
     ``b`` without ``a.rows`` columns."""
     if not a.is_square:
         raise DimensionMismatch(f"only square matrices invert, got {a.shape}")
-    kept, echelon, scales, leads = _eliminate_rows(a)
+    kept, echelon, pivots, leads = _eliminate_rows(a)
     if len(kept) < a.rows:
         raise SingularMatrixError(f"matrix {a} is singular")
-    factor = _factor(kept, echelon, scales, leads)
+    factor = _factor(kept, echelon, pivots, leads)
     if b.cols != a.rows:
         raise DimensionMismatch(f"rc product needs {b.shape} x {a.shape} inner match")
     return Matrix([_solve_row(row, factor) for row in b.cells], cols=a.rows)
@@ -488,7 +557,7 @@ def _kernel_column(complement):
     pivots = {pivot for pivot, *_ in echelon}
     c = [Quaternion.zero()] * n
     c[next(j for j in range(n) if j not in pivots)] = Quaternion.one()
-    for pivot, tail, _, den in reversed(echelon):
+    for pivot, tail, _, den, _ in reversed(echelon):
         terms = [((w, x, y, z, den), c[j]) for j, w, x, y, z in tail if not c[j].is_zero()]
         if terms:
             c[pivot] = -_dot(*zip(*terms))

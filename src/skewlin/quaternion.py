@@ -28,15 +28,27 @@ values.
 
 A product's four numerators have two forms: the Hamilton formula's sixteen
 multiplications, written out inline, and the eight of :func:`_product`
-(Howell and Lafon), which pays for them in additions and wins only on wide
-numerators.  The elimination kernel and the integer solve pick the form by
-comparing a denominator they already hold with the one constant ``_WIDE``:
-the product's own in ``__mul__`` and ``quasidet._integral_product``, the
-reduced row's in ``quasidet._reduce`` once per step, and the pivot's norm
-once per echelon row in ``quasidet._eliminate_rows``, and the solution's
-common denominator ``D_n * d``, once per solve, in
-``quasidet._back_substitute``.  :func:`_dot` always takes the sixteen: no
-workload meets a wide dot product.
+(Howell and Lafon), which multiply eight sums of each factor
+(:func:`_left_sums`, :func:`_right_sums`) and win only on wide numerators.
+A caller that multiplies by one factor many times forms that factor's sums
+once, leaving eight multiplications and eleven additions per product.  Each
+caller picks the form by comparing a number it already holds with the one
+constant ``_WIDE``:
+
+* ``__mul__`` and ``quasidet._integral_product``: the product's own
+  denominator, per product;
+* ``quasidet._eliminate_rows``: the pivot's norm, once per echelon row.  A
+  wide row stores the right sums of its entries, and each
+  ``quasidet._reduce`` step against it forms its lead's left sums once;
+* ``quasidet._factor``: the last prefix Study determinant ``D_n``, once per
+  factorization.  When it is wide, each scaled multiplier is stored as its
+  right sums, and ``quasidet._back_substitute``, which compares the same
+  ``D_n``, forms each unknown's left sums once.
+
+Narrow rows and factorizations keep the sixteen inline, where forming and
+storing sums costs more than it saves (measured at ``_WIDE``).
+:func:`_dot` always takes the sixteen: no workload meets a wide dot
+product.
 
 Text and JSON read and write the tuple directly.  The parser matches one
 compiled pattern per signed term (``_TERM``), tells every malformed input
@@ -237,18 +249,21 @@ class Quaternion(tuple):
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
 
 
-# In __mul__, the elimination kernel and the integer solve, a product whose
-# denominator exceeds _WIDE takes the eight multiplications of _product; any
-# other, and every term of _dot, the sixteen written out inline.  _product
-# trades multiplications for additions, so it wins only on wide numerators: on
-# CPython 3.11 (x86-64) it takes 1.31 times the inline form's time on 30-bit
-# numerators, 0.95 at 128 bits, 0.77 at 256, 0.57 at 1,000 and about 0.5 from
-# 2,000 bits up.  A product's denominator is about as wide as its two
-# factors' numerators together, so the switch falls near 128-bit factors.
-# The callers compare a number they already hold (a denominator, or the
-# pivot's norm, which is the echelon row's denominator before its content is
-# divided out), never a bit length.
-_WIDE = 1 << 256
+# Past _WIDE a product takes Howell and Lafon's eight multiplications; at or
+# below it, and in every term of _dot, the sixteen written out inline.  Each
+# caller compares a number it already holds (a product's denominator, a
+# pivot's norm or D_n, see the module docstring), never a bit length.  On
+# CPython 3.11 (x86-64), over 200 random operand pairs, best of 7, _product
+# took 1.52, 1.17, 1.13, 0.88 and 0.71 times the inline form's time at 32,
+# 64, 128, 256 and 512 bits, and the eight multiplications on sums formed
+# beforehand 0.73, 0.65, 0.64, 0.61 and 0.57.  Stored sums thus win at any
+# width once formed, but forming and storing them is paid per reused factor,
+# which small matrices do not earn back: with the sums stored at every width
+# the benchmark's rank and solve rounds on matrices up to 7 x 7 took 3% longer
+# (and its inverses 2% less), and with _WIDE at 2^64 for every fork 5%
+# longer.  At 2^128 the echelon rows and D_n of an 8 x 8 inverse of small
+# rationals (D_n about 226 bits) take the stored sums.
+_WIDE = 1 << 128
 
 
 def _product(a, b, c, d, e, f, g, h):
@@ -268,6 +283,22 @@ def _product(a, b, c, d, e, f, g, h):
         half - t8 + (a - b) * (g + h),
         half - t7 + (c + d) * (e - f),
     )
+
+
+def _left_sums(a, b, c, d):
+    """The eight sums of the left factor ``a + b i + c j + d k`` that
+    :func:`_product` multiplies, in the order of :func:`_right_sums`."""
+    return d - b, d + b, a + c, a - c, d - c, a + b, a - b, c + d
+
+
+def _right_sums(e, f, g, h):
+    """The eight sums of the right factor ``e + f i + g j + h k`` that
+    :func:`_product` multiplies.  With ``l`` and ``r`` the sums of the two
+    factors and ``m_i = l_i * r_i``, ``t678 = m_1 + m_2 + m_3`` and ``half =
+    (m_0 + t678) / 2`` (exact), the product's numerators are ``half - m_1 +
+    m_4``, ``half - t678 + m_5``, ``half - m_3 + m_6`` and ``half - m_2 +
+    m_7``: a caller that reuses a factor forms its sums once."""
+    return f - g, f + g, e - h, e + h, g - h, e + f, g + h, e - f
 
 
 def _build(nw, nx, ny, nz, den):

@@ -153,14 +153,14 @@ def solve_general(a, b):
         raise DimensionMismatch(
             f"right-hand side must be 1 x {a.cols}, got {b.shape}"
         )
-    kept, echelon, scales, leads = _eliminate_rows(a)
+    kept, echelon, pivots, leads = _eliminate_rows(a)
     # the pass stops at a full set of pivots; every row after that point is
     # dependent, and reducing it against the final echelon rows gives its
     # multipliers
     for row in a.cells[len(leads):]:
         numerators, scale = _numerators(row)
         leads.append((_reduce(numerators, scale, echelon)[0], scale))
-    factor = _factor(kept, echelon, scales, leads)
+    factor = _factor(kept, echelon, pivots, leads)
     independent = set(kept)
     dependent = [p for p in range(a.rows) if p not in independent]
     free = tuple(p + 1 for p in dependent)

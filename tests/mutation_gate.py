@@ -89,14 +89,15 @@ MUTANTS = [
      [TEST_CHI + "test_kernel_matches_chi_oracle"]),
     # _eliminate_rows: the content divides the numerators but not N(P)
     (QUASIDET,
-     "        echelon.append((pivot, tail, len(kept), norm // content))",
-     "        echelon.append((pivot, tail, len(kept), norm))",
+     "        echelon.append((pivot, tail, len(kept), norm // content, right))",
+     "        echelon.append((pivot, tail, len(kept), norm, right))",
      [TEST_CHI + "test_kernel_matches_chi_oracle"]),
-    # _eliminate_rows: one sign of pi^-1
-    (QUASIDET,
-     "        scales.append(_build(den * a, -den * b,",
-     "        scales.append(_build(den * a, den * b,",
-     [TEST_CHI + "test_kernel_matches_chi_oracle"]),
+    # _right_sums: one stored right-operand sum of a wide echelon row or
+    # multiplier
+    (QUATERNION,
+     "    return f - g, f + g, e - h, e + h, g - h, e + f, g + h, e - f",
+     "    return f - g, f + g, e - h, e + h, h - g, e + f, g + h, e - f",
+     [TEST_QUASIDET + "test_reduce_matches_per_entry_reduction"]),
     # _reduce: a nonzero lead with a zero component skipped
     (QUASIDET,
      "        if not (a or b or c or d):\n            continue",
@@ -113,6 +114,11 @@ MUTANTS = [
      "                pz = a * h - b * g + c * f + d * e\n",
      [TEST_QUASIDET + "test_reduce_matches_per_entry_reduction",
       TEST_CHI + "test_kernel_matches_chi_oracle"]),
+    # _reduce: one output of the hoisted loop on a wide echelon row
+    (QUASIDET,
+     "                          x * scale - half + m123 - lx * rx,",
+     "                          x * scale - half - m123 - lx * rx,",
+     [TEST_QUASIDET + "test_reduce_matches_per_entry_reduction"]),
     # _reduce: the row divided by the previous echelon denominator, its
     # denominator not
     (QUASIDET,
@@ -149,20 +155,30 @@ MUTANTS = [
      "        if False:\n"
      '            raise SingularMatrixError("internal: a prefix Study determinant is not integral")',
      [TEST_QUASIDET + "test_prefix_determinant_division_is_checked"]),
-    # _factor: two numerators of P_t exchanged
+    # _factor: the prefix Study determinant divided by den, not den^2
     (QUASIDET,
-     "        inverses.append((c * w, c * x, c * y, c * z))",
-     "        inverses.append((c * w, c * x, c * z, c * y))",
+     "        det, rest = divmod(scaled * (a * a + b * b + c * c + d * d), den * den)",
+     "        det, rest = divmod(scaled * (a * a + b * b + c * c + d * d), den)",
      [TEST_QUASIDET + "test_uncorrupted_factor_solves"]),
+    # _factor: one sign of conj(P) in P_t
+    (QUASIDET,
+     "            inverses.append((s * a, -s * b, -s * c, -s * d))",
+     "            inverses.append((s * a, -s * b, s * c, -s * d))",
+     [TEST_QUASIDET + "test_uncorrupted_factor_solves"]),
+    # _factor: P_t's division no longer checked, its quotient floored
+    (QUASIDET,
+     "        if rest:\n            inverses.append(_quotient(",
+     "        if False:\n            inverses.append(_quotient(",
+     [TEST_QUASIDET + "test_pivot_inverse_division_is_checked"]),
     # _back_substitute: one sign in the narrow sum
     (QUASIDET,
      "                sz += a * h + b * g - c * f + d * e",
      "                sz += a * h + b * g + c * f + d * e",
      [TEST_ORACLE + "test_integer_back_substitution_matches_rational"]),
-    # _back_substitute: the wide sum subtracts one component
+    # _back_substitute: one output of the hoisted loop, for D_n past _WIDE
     (QUASIDET,
-     "                sy += py\n",
-     "                sy -= py\n",
+     "                sy += half - m3 + ly * ry\n",
+     "                sy += half + m3 + ly * ry\n",
      [TEST_ORACLE + "test_back_substitution_above_oracle_sizes_on_big_entries"]),
     # _back_substitute: the last unknown's shortcut loses its row scale
     (QUASIDET,

@@ -44,8 +44,8 @@ from skewlin import (
     cr_product,
     rc_product,
 )
-from skewlin.quasidet import _eliminate_rows, _numerators, _reduce
-from skewlin.quaternion import _dot
+from skewlin.quasidet import _eliminate_rows, _factor, _numerators, _reduce
+from skewlin.quaternion import _WIDE, _dot
 from skewlin.rank import SolutionSet, _on_rows
 from skewlin.sampling import (
     random_matrix,
@@ -586,12 +586,13 @@ def test_back_substitution_above_oracle_sizes_on_big_entries(n):
 # The library solves ``x * L == z`` over the integers, on the prefix Study
 # determinants of the kept rows.  The rational back substitution it replaced
 # is kept here as the slow definition, verbatim apart from its names and the
-# shapes of the forward pass's results (``value`` turns a multiplier's
-# numerators into a quaternion): ``rational_factor`` divides each multiplier
-# by its pivot once (``mu``), and ``rational_back_substitute`` sums each
-# unknown with ``_dot``.  The solvers
-# built on it, ``rational_solve_nonsingular`` and ``rational_solve_general``,
-# repeat the library's own on the same forward pass.
+# shapes of the forward pass's results (``value`` turns a multiplier's or a
+# pivot's numerators into a quaternion): ``rational_factor`` inverts each
+# pivot with ``Quaternion.inverse`` and divides each multiplier by its pivot
+# once (``mu``), and ``rational_back_substitute`` sums each unknown with
+# ``_dot``.  The solvers built on it, ``rational_solve_nonsingular`` and
+# ``rational_solve_general``, repeat the library's own on the same forward
+# pass.
 
 
 def value(numerators):
@@ -599,7 +600,8 @@ def value(numerators):
     return Quaternion(Fraction(w, d), Fraction(x, d), Fraction(y, d), Fraction(z, d))
 
 
-def rational_factor(kept, echelon, scales, leads):
+def rational_factor(kept, echelon, pivots, leads):
+    scales = [value(pivot).inverse() for pivot in pivots]
     below = [[] for _ in kept]
     for k, p in enumerate(kept):
         for j, lead in leads[p][0]:
@@ -636,10 +638,10 @@ def rational_solve_row(entries, factor):
 def rational_solve_nonsingular(a, b):
     if not a.is_square:
         raise DimensionMismatch(f"only square matrices invert, got {a.shape}")
-    kept, echelon, scales, leads = _eliminate_rows(a)
+    kept, echelon, pivots, leads = _eliminate_rows(a)
     if len(kept) < a.rows:
         raise SingularMatrixError(f"matrix {a} is singular")
-    factor = rational_factor(kept, echelon, scales, leads)
+    factor = rational_factor(kept, echelon, pivots, leads)
     if b.cols != a.rows:
         raise DimensionMismatch(f"rc product needs {b.shape} x {a.shape} inner match")
     return Matrix([rational_solve_row(row, factor) for row in b.cells], cols=a.rows)
@@ -666,9 +668,9 @@ def rational_solve_general(a, b):
         raise DimensionMismatch(
             f"right-hand side must be 1 x {a.cols}, got {b.shape}"
         )
-    kept, echelon, scales, leads = _eliminate_rows(a)
+    kept, echelon, pivots, leads = _eliminate_rows(a)
     leads += [(_reduce(*_numerators(row), echelon)[0], None) for row in a.cells[len(leads):]]
-    factor = rational_factor(kept, echelon, scales, leads)
+    factor = rational_factor(kept, echelon, pivots, leads)
     independent = set(kept)
     dependent = [p for p in range(a.rows) if p not in independent]
     free = tuple(p + 1 for p in dependent)
@@ -744,10 +746,33 @@ def _system_example(kind, seed):
             Matrix.row([_entry(rng, digits) for _ in range(9)]))
 
 
+def _threshold_system(pivot):
+    """A 3 x 3 system on integral rows whose first two pivots are one and
+    whose last is ``pivot``, so that ``D_3 = N(pivot)``, with a left
+    combination of its rows and a free row as right-hand sides."""
+    zero, one = Quaternion.zero(), Quaternion.one()
+    rows = [[one, zero, zero],
+            [Quaternion(1, 1), one, zero],
+            [Quaternion(2, 0, -1), Quaternion(0, 0, 0, 3), pivot]]
+    combination = [Quaternion(1, 0, 1) * rows[0][j] + Quaternion(Fraction(1, 2), 0, 0, -1)
+                   * rows[1][j] + Quaternion(0, -2) * rows[2][j] for j in range(3)]
+    free = [Quaternion(3, 1), Quaternion(0, Fraction(1, 3), 2), Quaternion(-1, 0, 0, 1)]
+    return Matrix(rows, cols=3), Matrix.row(combination), Matrix.row(free)
+
+
+# D_3 = N(_ROOT) = _WIDE, the largest D_n whose multipliers stay numerators,
+# and N(_ROOT + i) = _WIDE + 1, the smallest stored as their right sums
+_ROOT = 1 << _WIDE.bit_length() // 2
+_AT_WIDE = _threshold_system(Quaternion(_ROOT))
+_PAST_WIDE = _threshold_system(Quaternion(_ROOT, 1))
+
+
 @given(_systems())
 @example(_system_example("rational", 1))
 @example(_system_example("digits", 2))
 @example(_system_example("half rank", 3))
+@example(_AT_WIDE)
+@example(_PAST_WIDE)
 @settings(max_examples=40)
 def test_integer_back_substitution_matches_rational(system):
     a, consistent, free = system
@@ -760,3 +785,40 @@ def test_integer_back_substitution_matches_rational(system):
         assert outcome(lib.row_dependence, a, report, p) == expected
     for b in (consistent, free):
         assert outcome(lib.solve_general, a, b) == outcome(rational_solve_general, a, b)
+
+
+def test_back_substitution_examples_reach_their_cases():
+    """The threshold examples above fall on the side their comment says:
+    ``_factor`` keeps each multiplier as its four numerators up to ``D_n =
+    _WIDE`` and as its eight right sums past it."""
+    for (a, _, _), det, width in ((_AT_WIDE, _WIDE, 4), (_PAST_WIDE, _WIDE + 1, 8)):
+        _, _, dets, _, below = _factor(*_eliminate_rows(a))
+        assert dets[-1] == det
+        assert {len(m) for column in below for _, m in column} == {width}
+
+
+@st.composite
+def _straddling_systems(draw):
+    """An n x n matrix of integer quaternions, n from 2 to 4, with entries
+    of up to ``160 / n`` bits, and two right-hand sides as in ``_systems``.
+    With ``_WIDE`` at 2^128, ``D_n`` passes it from about ``64 / n`` bits
+    per entry and the echelon rows' pivot norms from 16 to 64 bits, so the
+    draws fall on both sides of every fork that compares with ``_WIDE``."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    bound = 1 << draw(st.integers(min_value=1, max_value=160 // n))
+    entries = st.builds(Quaternion, *[st.integers(min_value=-bound, max_value=bound)] * 4)
+    rows = _rows(draw, n, n, entries)
+    free = _rows(draw, 1, n, entries)[0]
+    return Matrix(rows, cols=n), Matrix.row(_combination(draw, rows)), Matrix.row(free)
+
+
+@given(_straddling_systems())
+@settings(max_examples=60)
+def test_kernel_straddling_the_wide_threshold(system):
+    a, consistent, free = system
+    both = Matrix(list(consistent.cells) + list(free.cells), cols=a.cols)
+    solved = outcome(lib.solve_nonsingular, a, both)
+    assert solved == outcome(rational_solve_nonsingular, a, both)
+    if solved[0] == "value":
+        assert schoolbook_product(solved[1], a) == both
+    assert outcome(lib.solve_general, a, consistent) == outcome(rational_solve_general, a, consistent)

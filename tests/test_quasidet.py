@@ -24,7 +24,7 @@ from skewlin import (
     rc_quasideterminant,
 )
 from skewlin import quasidet
-from skewlin.quaternion import _WIDE
+from skewlin.quaternion import _WIDE, _product
 from skewlin.sampling import (
     random_nonsingular_matrix,
     random_quaternion,
@@ -232,10 +232,7 @@ def test_scalar_conjugation_sanity(rng):
 #
 # Each division that the integer back substitution takes to be exact is
 # checked.  Corrupting the factor it divides raises the internal error
-# instead of returning a wrong value.  There is no division of its own for
-# ``P_t = D_{t+1} * pi_t^-1``: it is the determinant's exact quotient ``c``
-# times the numerators of ``pi_t^-1``, so a corrupt pivot inverse is caught
-# by the determinant's check.
+# instead of returning a wrong value.
 
 _PRIME = 1000003
 
@@ -252,12 +249,12 @@ def _system(seed, n=3):
     and that row's coordinates on the echelon rows and scale."""
     rng = random.Random(seed)
     a = random_nonsingular_matrix(rng, n, bound=4)
-    kept, echelon, scales, leads = quasidet._eliminate_rows(a)
+    kept, echelon, pivots, leads = quasidet._eliminate_rows(a)
     entries = random_row(rng, n, bound=4).cells[0]
     row, scale = quasidet._numerators(entries)
     z, _, _ = quasidet._reduce(row, scale, echelon)
     assert len(z) == n  # every unknown has a right-hand side
-    return a, (kept, echelon, scales, leads), entries, z, scale
+    return a, (kept, echelon, pivots, leads), entries, z, scale
 
 
 def _over_prime(value):
@@ -275,19 +272,30 @@ def test_uncorrupted_factor_solves():
 
 
 def test_prefix_determinant_division_is_checked():
-    _, (kept, echelon, scales, leads), _, _, _ = _system(2)
-    scales = scales[:1] + [scales[1] * _PRIME] + scales[2:]
+    # D_2 = D_1 * r_1^2 * N(P) / den^2, with den a factor _PRIME too large
+    _, (kept, echelon, pivots, leads), _, _, _ = _system(2)
+    pivots = pivots[:1] + [_over_prime(pivots[1])] + pivots[2:]
     _raises_internal("a prefix Study determinant",
-                     lambda: quasidet._factor(kept, echelon, scales, leads))
+                     lambda: quasidet._factor(kept, echelon, pivots, leads))
+
+
+def test_pivot_inverse_division_is_checked():
+    # P times 3 + 4i over 5 den keeps N(P) / den^2, so D_2 is still
+    # integral, but P_1 = D_1 * r_1^2 * conj(P) / den is not
+    _, (kept, echelon, pivots, leads), _, _, _ = _system(2)
+    a, b, c, d, den = pivots[1]
+    pivots = pivots[:1] + [(*_product(a, b, c, d, 3, 4, 0, 0), den * 5)] + pivots[2:]
+    _raises_internal("a scaled pivot inverse",
+                     lambda: quasidet._factor(kept, echelon, pivots, leads))
 
 
 def test_multiplier_division_is_checked():
-    _, (kept, echelon, scales, leads), _, _, _ = _system(3)
+    _, (kept, echelon, pivots, leads), _, _, _ = _system(3)
     leads = list(leads)
     ((j, lead), *rest), scale = leads[kept[1]]
     leads[kept[1]] = ([(j, _over_prime(lead))] + rest, scale)
     _raises_internal("a scaled multiplier",
-                     lambda: quasidet._factor(kept, echelon, scales, leads))
+                     lambda: quasidet._factor(kept, echelon, pivots, leads))
 
 
 def test_right_hand_side_division_is_checked():
@@ -330,7 +338,7 @@ def _quaternion(w, x, y, z, den):
 def per_entry_reduction(entries, echelon):
     entries = list(entries)
     leads = []
-    for pivot, tail, t, den in echelon:
+    for pivot, tail, t, den, _ in echelon:
         lead = entries[pivot]
         if lead.is_zero():
             continue
@@ -363,15 +371,24 @@ def _parsed(matrix, row):
 
 
 _WIDE_PIVOT = Quaternion(2**200, 1, 0, 0)
+_ROOT = 1 << _WIDE.bit_length() // 2  # N(_ROOT) == _WIDE
+
+
+def _pivot_row(pivot):
+    """A one-row matrix with the pivot ``pivot``, and a row to reduce."""
+    return (Matrix([[pivot, Quaternion(1, 2, -1), Quaternion(3, 0, 0, -1)]]),
+            [Quaternion(0, 0, 1), Quaternion(1), Quaternion(Fraction(1, 3))])
 
 
 @given(_reductions())
 # the echelon row's denominator is 1: its pivot is 1
 @example(_parsed("[1, 2+i, j]", "3, k, 1/2"))
-# the echelon row's denominator N(2^200 + i) exceeds _WIDE, and so does the
-# step's
-@example((Matrix([[_WIDE_PIVOT, Quaternion(1), Quaternion(0, 1)]]),
-          [Quaternion(0, 0, 1), Quaternion(1), Quaternion(Fraction(1, 3))]))
+# the echelon row's pivot norm N(2^200 + i) exceeds _WIDE
+@example(_pivot_row(_WIDE_PIVOT))
+# the pivot norm N(_ROOT) is _WIDE, the largest whose row stays inline, and
+# N(_ROOT + i) is _WIDE + 1, the smallest whose row stores its right sums
+@example(_pivot_row(Quaternion(_ROOT)))
+@example(_pivot_row(Quaternion(_ROOT, 1)))
 # a zero lead: the first step clears the second pivot column too
 @example(_parsed("[1, 1, 0; 0, i, 1]", "1, 1, 5"))
 # the first echelon row's denominator 2 divides every numerator after the
@@ -395,9 +412,11 @@ def test_reduce_examples_reach_their_cases():
     """The explicit examples above meet what their comments say."""
     _, echelon, _, _ = quasidet._eliminate_rows(parse_matrix("[1, 2+i, j]"))
     assert echelon[0][3] == 1
-    a = Matrix([[_WIDE_PIVOT, Quaternion(1), Quaternion(0, 1)]])
-    _, echelon, _, _ = quasidet._eliminate_rows(a)
-    assert echelon[0][3] > _WIDE
+    for pivot, norm in ((_WIDE_PIVOT, 2**400 + 1), (Quaternion(_ROOT), _WIDE),
+                        (Quaternion(_ROOT, 1), _WIDE + 1)):
+        _, echelon, [(a, b, c, d, _)], _ = quasidet._eliminate_rows(_pivot_row(pivot)[0])
+        assert a * a + b * b + c * c + d * d == norm
+        assert (echelon[0][4] is None) == (norm <= _WIDE)
     a, entries = _parsed("[1, 1, 0; 0, i, 1]", "1, 1, 5")
     _, echelon, _, _ = quasidet._eliminate_rows(a)
     leads, _, _ = quasidet._reduce(*quasidet._numerators(entries), echelon)

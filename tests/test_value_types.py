@@ -24,12 +24,15 @@ DEPENDENT = parse_matrix("[1, i; 2, 2i]")
 
 
 def examples():
-    """Instances of each type, a 0 x 3 matrix among them, each with its
-    repr as the dataclasses printed it.  Every call builds new objects."""
+    """Instances of each type, empty matrices of three shapes among them,
+    each with its repr as the dataclasses printed it, apart from the empty
+    matrices: their text form ``[]`` drops the shape, so they print as the
+    ``Matrix.zeros`` call that builds them.  Every call builds new
+    objects."""
     solvable = solve_general(parse_matrix("[1, i; 2, 2i]"), parse_matrix("[3, 3i]"))
     return [
         (parse_matrix("[1, i; 2, 2i]"), "Matrix('[1, i; 2, 2i]')"),
-        (Matrix([], cols=3), "Matrix('[]')"),
+        (Matrix([], cols=3), "Matrix.zeros(0, 3)"),
         (IndexSelection([1, 3], (2, 4)), "IndexSelection(rows=(1, 3), cols=(2, 4))"),
         (rc_rank(DEPENDENT),
          "RankReport(rank=1, minor=IndexSelection(rows=(1,), cols=(1,)))"),
@@ -41,6 +44,11 @@ def examples():
          "SolutionSet(consistent=False, particular=None, "
          "homogeneous_basis=(Matrix('[-2, 1]'),), free_variables=(2,))"),
         (BasisModel(Matrix.identity(2)), "BasisModel(matrix=Matrix('[1, 0; 0, 1]'))"),
+        (Matrix.zeros(2, 0), "Matrix.zeros(2, 0)"),
+        (Matrix([]), "Matrix.zeros(0, 0)"),
+        (solve_general(Matrix([], cols=2), parse_matrix("[0, 0]")),
+         "SolutionSet(consistent=True, particular=Matrix.zeros(1, 0), "
+         "homogeneous_basis=(), free_variables=())"),
     ]
 
 
@@ -52,6 +60,14 @@ TWINS = [value for value, _ in examples()]
 @pytest.mark.parametrize("value,text", EXAMPLES)
 def test_repr_is_the_dataclass_repr(value, text):
     assert repr(value) == text
+
+
+def test_unequal_values_print_differently():
+    texts = [text for _, text in EXAMPLES]
+    assert len(set(texts)) == len(texts)
+    for rows, cols in ((0, 0), (0, 3), (2, 0)):
+        empty = Matrix.zeros(rows, cols)
+        assert eval(repr(empty), {"Matrix": Matrix}) == empty
 
 
 @pytest.mark.parametrize("value,twin", zip(VALUES, TWINS))
