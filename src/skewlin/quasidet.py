@@ -25,13 +25,7 @@ numerators of the pivot, ``E = conj(P) * row / N(P)``, in which the row's
 own denominator cancels, divided by its content so that it is primitive.
 That content gcd, one per kept row, and the gcd after a remainder are all
 the gcds the pass takes, where a quaternion per entry would pay a five-way
-gcd for every update.  Each echelon row's entries are the right factor of
-every later step against it: when its pivot norm ``N(P)`` exceeds
-``quaternion._WIDE`` the row also stores their eight Howell and Lafon sums
-(``quaternion._right_sums``), and each step forms the lead's eight once, so
-a wide entry update is eight multiplications.  Rows at or below ``_WIDE``
-keep the sixteen multiplications inline, which cost less than forming and
-storing sums on small numerators.
+gcd for every update.
 
 :func:`_solve_row` finds the left coefficients ``x`` on the kept rows with
 ``x * (kept rows) == b``, for one row ``b``, in two steps: reducing ``b``
@@ -55,17 +49,15 @@ these quantities to integers once per matrix; :func:`_back_substitute` then
 solves with one sum of integer products over ``D_{j+1}`` and one exact
 division per unknown, and normalises each entry of the result with one gcd,
 where rational sums would pay a gcd per term and a last one at over twice
-the result's size.  When ``D_n`` exceeds ``_WIDE``, the scaled multipliers
-are stored as their right sums and each unknown's left sums are formed
-once, as for the echelon rows.  Every exact division is checked: a
-remainder raises an ``internal:`` :class:`SingularMatrixError`, never a
-wrong value.  A square matrix is
-invertible exactly when the pass keeps every row.  :func:`solve_nonsingular`
-is the one nonsingular solve: it checks that, factors ``a`` once and solves
-``x * a == b`` for each row ``b``.  :func:`rc_inverse` is its solution for
-the identity, automatically two-sided because one-sided inverses coincide in
-a matrix ring over a division ring.  ``rank`` builds rank, row dependence and
-the general solver on the same pass.
+the result's size.  Every exact division is checked: a remainder raises an
+``internal:`` :class:`SingularMatrixError`, never a wrong value.  A square
+matrix is invertible exactly when the pass keeps every row.
+:func:`solve_nonsingular` is the one nonsingular solve: it checks that,
+factors ``a`` once and solves ``x * a == b`` for each row ``b``.
+:func:`rc_inverse` is its solution for the identity, automatically
+two-sided because one-sided inverses coincide in a matrix ring over a
+division ring.  ``rank`` builds rank, row dependence and the general solver
+on the same pass.
 
 The quasideterminant at position ``(p, r)`` is the noncommutative analogue of
 a determinant cofactor ratio:
@@ -94,6 +86,24 @@ wherever ``c_r`` is nonzero, which is exactly where the complement at
 ``(p, r)`` is invertible.  That is ``n`` eliminations and ``O(n^4)`` work in
 place of the ``n^2`` eliminations and ``O(n^5)`` work of one
 :func:`rc_quasideterminant` call per position.
+
+This module alone chooses a quaternion product form: the Hamilton
+formula's sixteen multiplications inline, or Howell and Lafon's eight
+(``quaternion._product``) on eight sums of each factor, which a factor that
+many products share forms once.  Each fork compares a number it already
+holds with the one constant ``_WIDE``, and past it:
+
+* :func:`_eliminate_rows` (the pivot norm ``N(P)``, once per echelon row)
+  takes ``conj(P) * row`` by ``_product`` and stores the right sums of the
+  tail, and each :func:`_reduce` step against the row forms its lead's
+  left sums once;
+* :func:`_factor` (``D_n``, once per factorization) stores each scaled
+  multiplier as its right sums, and :func:`_back_substitute`, comparing the
+  same ``D_n``, forms each unknown's left sums once;
+* :func:`_integral_product` (its own denominator) takes ``_product``.
+
+At or below it they take the sixteen, as ``*`` and the dot products
+(``quaternion._dot``) do at every width.
 """
 
 from itertools import chain
@@ -102,7 +112,6 @@ from math import gcd, lcm
 from .errors import DimensionMismatch, SingularMatrixError
 from .matrix import Matrix, rc_product
 from .quaternion import (
-    _WIDE,
     Quaternion,
     _build,
     _dot,
@@ -112,6 +121,23 @@ from .quaternion import (
 )
 
 _NIL = (0, 0, 0, 0)  # the numerators of a zero entry
+
+# The threshold of the forks in the module docstring.  On CPython 3.11
+# (x86-64), over 200 random operand pairs, best of 7, _product took 1.52,
+# 1.17, 1.13, 0.88 and 0.71 times the inline form's time at 32, 64, 128, 256
+# and 512 bits, and the eight multiplications on sums formed beforehand 0.73,
+# 0.65, 0.64, 0.61 and 0.57.  Stored sums thus win at any width once formed,
+# but forming and storing them is paid per reused factor, which small
+# matrices do not earn back: with the sums stored at every width the
+# benchmark's rank and solve rounds on matrices up to 7 x 7 took 3% longer
+# (and its inverses 2% less), and with _WIDE at 2^64 for every fork 5%
+# longer.  At 2^128 the echelon rows and D_n of an 8 x 8 inverse of small
+# rationals (D_n about 226 bits) take the stored sums.  Wide lone products
+# occur too but stay on the sixteen: a seed-1 dense_inverse round of the
+# benchmark has 288 of its 15,742 dot-product terms past _WIDE (216 in
+# rc_inverse_via_quasidet's round-trip product at n = 6, 60 in _kernel_column
+# and 12 in its s), and 48 of its 52 products by *.
+_WIDE = 1 << 128
 
 
 def _numerators(entries):
@@ -207,15 +233,12 @@ def _reduce(row, den, echelon):
 
     Against an echelon row ``T / d_E`` and with the lead's numerators
     ``L``, a step is ``X * d_E - L * T`` on the integers, over ``den *
-    d_E``.  Against a wide echelon row, one that stores the right sums of
-    ``T``, the lead's left sums are formed once per step and each ``L *
-    T`` takes eight multiplications; against any other, the sixteen
-    inline.  By Sylvester's identity, as in Bareiss's fraction-free
-    elimination, the denominator of the previous step's echelon row usually
-    divides every numerator after this one: the row is then divided by it
-    once, the quotients checked by their remainders.  Where a remainder
-    shows, the row is divided instead by the gcd of that denominator and its
-    numerators."""
+    d_E``, in the product form the echelon row chose.  By Sylvester's
+    identity, as in Bareiss's fraction-free elimination, the denominator of
+    the previous step's echelon row usually divides every numerator after
+    this one: the row is then divided by it once, the quotients checked by
+    their remainders.  Where a remainder shows, the row is divided instead
+    by the gcd of that denominator and its numerators."""
     leads = []
     previous = 1
     for pivot, tail, t, scale, right in echelon:
@@ -346,11 +369,9 @@ def _factor(kept, echelon, pivots, leads):
     for the kept rows ``k`` whose reduction met echelon row ``j`` with the
     lead ``lambda_kj``: column ``j`` of ``L`` below its diagonal, divided on
     the right by the diagonal entry and scaled to an integral quaternion
-    once here rather than once per solve.  ``M_kj`` is its four numerators
-    when ``D_n`` is at most ``_WIDE`` and its eight ``_right_sums`` past it,
-    for :func:`_back_substitute`, which compares the same ``D_n``: every
-    solve multiplies by each ``M_kj``.  Every division is exact, and
-    checked."""
+    once here rather than once per solve.  ``M_kj`` is its four numerators,
+    or its eight ``_right_sums`` when ``D_n`` exceeds ``_WIDE``.  Every
+    division is exact, and checked."""
     det = 1
     row_scales, dets, inverses = [], [], []
     for p, (a, b, c, d, den) in zip(kept, pivots):
@@ -398,10 +419,8 @@ def _back_substitute(z, scale, factor):
     denominator of the solution, so each entry ``y_j = r_j * Y_j / (D * d)``
     is normalised with one gcd; the first unknown's sum, which no other
     unknown needs, goes to that gcd undivided, over ``D_1 * D * d``.  Where
-    :func:`_factor` stored each ``M_kj`` as its right sums (``D_n`` past
-    ``_WIDE``), each ``Y_k`` is kept as its left sums, formed once for
-    every sum it enters, and each term takes eight multiplications.  Every
-    division is exact and checked."""
+    :func:`_factor` stored each ``M_kj`` as its right sums, each ``Y_k`` is
+    kept as its left sums.  Every division is exact and checked."""
     _, row_scales, dets, inverses, below = factor
     last = len(row_scales) - 1
     if last < 0:

@@ -26,29 +26,14 @@ denominator and takes one content gcd per echelon row it keeps.  The tuple
 layout is private: the components are exposed as :class:`fractions.Fraction`
 values.
 
-A product's four numerators have two forms: the Hamilton formula's sixteen
-multiplications, written out inline, and the eight of :func:`_product`
-(Howell and Lafon), which multiply eight sums of each factor
-(:func:`_left_sums`, :func:`_right_sums`) and win only on wide numerators.
-A caller that multiplies by one factor many times forms that factor's sums
-once, leaving eight multiplications and eleven additions per product.  Each
-caller picks the form by comparing a number it already holds with the one
-constant ``_WIDE``:
-
-* ``__mul__`` and ``quasidet._integral_product``: the product's own
-  denominator, per product;
-* ``quasidet._eliminate_rows``: the pivot's norm, once per echelon row.  A
-  wide row stores the right sums of its entries, and each
-  ``quasidet._reduce`` step against it forms its lead's left sums once;
-* ``quasidet._factor``: the last prefix Study determinant ``D_n``, once per
-  factorization.  When it is wide, each scaled multiplier is stored as its
-  right sums, and ``quasidet._back_substitute``, which compares the same
-  ``D_n``, forms each unknown's left sums once.
-
-Narrow rows and factorizations keep the sixteen inline, where forming and
-storing sums costs more than it saves (measured at ``_WIDE``).
-:func:`_dot` always takes the sixteen: no workload meets a wide dot
-product.
+Every product here, ``*`` and each term of :func:`_dot`, takes the Hamilton
+formula's sixteen multiplications, written out inline.  :func:`_product` is
+the same four numerators from eight multiplications (Howell and Lafon),
+which multiply eight sums of each factor (:func:`_left_sums`,
+:func:`_right_sums`); a caller that multiplies by one factor many times can
+form that factor's sums once, leaving eight multiplications and eleven
+additions per product.  Which form a caller takes is the elimination
+kernel's choice, not this module's (see ``quasidet``).
 
 Text and JSON read and write the tuple directly.  The parser matches one
 compiled pattern per signed term (``_TERM``), tells every malformed input
@@ -180,15 +165,12 @@ class Quaternion(tuple):
             return NotImplemented
         a, b, c, d, d1 = self
         e, f, g, h, d2 = o
-        den = d1 * d2
-        if den > _WIDE:
-            return _build(*_product(a, b, c, d, e, f, g, h), den)
         return _build(
             a * e - b * f - c * g - d * h,
             a * f + b * e + c * h - d * g,
             a * g - b * h + c * e + d * f,
             a * h + b * g - c * f + d * e,
-            den,
+            d1 * d2,
         )
 
     def __rmul__(self, other):
@@ -247,23 +229,6 @@ class Quaternion(tuple):
 
     def __repr__(self):
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
-
-
-# Past _WIDE a product takes Howell and Lafon's eight multiplications; at or
-# below it, and in every term of _dot, the sixteen written out inline.  Each
-# caller compares a number it already holds (a product's denominator, a
-# pivot's norm or D_n, see the module docstring), never a bit length.  On
-# CPython 3.11 (x86-64), over 200 random operand pairs, best of 7, _product
-# took 1.52, 1.17, 1.13, 0.88 and 0.71 times the inline form's time at 32,
-# 64, 128, 256 and 512 bits, and the eight multiplications on sums formed
-# beforehand 0.73, 0.65, 0.64, 0.61 and 0.57.  Stored sums thus win at any
-# width once formed, but forming and storing them is paid per reused factor,
-# which small matrices do not earn back: with the sums stored at every width
-# the benchmark's rank and solve rounds on matrices up to 7 x 7 took 3% longer
-# (and its inverses 2% less), and with _WIDE at 2^64 for every fork 5%
-# longer.  At 2^128 the echelon rows and D_n of an 8 x 8 inverse of small
-# rationals (D_n about 226 bits) take the stored sums.
-_WIDE = 1 << 128
 
 
 def _product(a, b, c, d, e, f, g, h):

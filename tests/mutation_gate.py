@@ -52,11 +52,11 @@ MUTANTS = [
      "    t7 = (a + c) * (e - h)",
      "    t7 = (a + c) * (e + h)",
      [TEST_QUATERNION + "test_product_matches_schoolbook"]),
-    # Quaternion.__mul__: the wide form with its factors exchanged
+    # Quaternion.__mul__: one sign in the y numerator
     (QUATERNION,
-     "            return _build(*_product(a, b, c, d, e, f, g, h), den)",
-     "            return _build(*_product(e, f, g, h, a, b, c, d), den)",
-     [TEST_QUATERNION + "test_wide_products_match_fraction_oracle"]),
+     "            a * g - b * h + c * e + d * f,\n",
+     "            a * g - b * h + c * e - d * f,\n",
+     [TEST_QUATERNION + "test_unit_relations"]),
     # _dot: the sum's and the term's cofactors swapped
     (QUATERNION,
      "        sw = sw * up + (a * e - b * f - c * g - d * h) * across",

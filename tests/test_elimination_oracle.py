@@ -44,8 +44,8 @@ from skewlin import (
     cr_product,
     rc_product,
 )
-from skewlin.quasidet import _eliminate_rows, _factor, _numerators, _reduce
-from skewlin.quaternion import _WIDE, _dot
+from skewlin.quasidet import _WIDE, _eliminate_rows, _factor, _numerators, _reduce
+from skewlin.quaternion import _dot
 from skewlin.rank import SolutionSet, _on_rows
 from skewlin.sampling import (
     random_matrix,

@@ -24,7 +24,8 @@ from skewlin import (
     rc_quasideterminant,
 )
 from skewlin import quasidet
-from skewlin.quaternion import _WIDE, _product
+from skewlin.quasidet import _WIDE
+from skewlin.quaternion import _product
 from skewlin.sampling import (
     random_nonsingular_matrix,
     random_quaternion,

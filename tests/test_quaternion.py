@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from skewlin import I, J, K, ParseError, Quaternion, parse_quaternion
-from skewlin.quaternion import _WIDE, _dot, _product
+from skewlin.quasidet import _WIDE
+from skewlin.quaternion import _dot, _product
 
 rationals = st.fractions(
     min_value=-9, max_value=9, max_denominator=9
@@ -252,8 +253,9 @@ def wide_integers(draw, min_bits=0, max_bits=20_000):
     return magnitude if draw(st.booleans()) else -magnitude
 
 
-# components just below and just above the size at which the callers switch
-# to _product, with every sign pattern the two halves of the formula meet
+# components just below and just above the elimination kernel's _WIDE, past
+# which its forks take _product, with every sign pattern the two halves of
+# the formula meet
 _NEAR = (_WIDE - 1, -(_WIDE - 1), _WIDE + 1, -(_WIDE + 1))
 
 
@@ -283,16 +285,16 @@ def components(q):
 
 
 # 300 to 1,200 digits: numerators of 997 to 4,000 bits, zero or of either
-# sign, over 1 (an integral product, which stays on the inline path) or a
-# denominator of the same size (whose products take _product)
+# sign, over 1 or over a denominator of the same size
 _wide_numerators = st.one_of(st.just(0), wide_integers(997, 4_000))
 wide_quaternions = st.builds(
     lambda nums, den: Quaternion(*(Fraction(n, den) for n in nums)),
     st.tuples(*[_wide_numerators] * 4),
     st.one_of(st.just(1), wide_integers(997, 4_000).map(abs)),
 )
-# a product over exactly _WIDE, the largest denominator of the inline path,
-# and one over _WIDE + 1, the smallest of _product's
+# wide operands whose products have the denominators _WIDE and _WIDE + 1,
+# either side of the elimination kernel's threshold; * and _dot take the
+# sixteen multiplications on both
 _BELOW = Quaternion(Fraction(_WIDE - 1, _WIDE), -1, Fraction(-3, _WIDE), 10**300)
 _ABOVE = Quaternion(Fraction(_WIDE, _WIDE + 1), -1, Fraction(-3, _WIDE + 1), 10**300)
 _INTEGRAL = Quaternion(10**300 + 7, -(10**301), 3, 10**300)
