@@ -87,23 +87,37 @@ wherever ``c_r`` is nonzero, which is exactly where the complement at
 place of the ``n^2`` eliminations and ``O(n^5)`` work of one
 :func:`rc_quasideterminant` call per position.
 
-This module alone chooses a quaternion product form: the Hamilton
-formula's sixteen multiplications inline, or Howell and Lafon's eight
-(``quaternion._product``) on eight sums of each factor, which a factor that
-many products share forms once.  Each fork compares a number it already
-holds with the one constant ``_WIDE``, and past it:
+The product-form policy of the library is stated here, once.  There are two
+forms: the Hamilton formula's sixteen multiplications inline, and Howell and
+Lafon's eight (``quaternion._product``) on eight sums of each factor, which
+a factor that many products share forms once.  ``*`` and the dot products of
+``quaternion._dot`` take the sixteen at every width.  Two rules take the
+eight, each read once per matrix product or per reused factor, never per
+scalar product:
 
-* :func:`_eliminate_rows` (the pivot norm ``N(P)``, once per echelon row)
-  takes ``conj(P) * row`` by ``_product`` and stores the right sums of the
-  tail, and each :func:`_reduce` step against the row forms its lead's
-  left sums once;
-* :func:`_factor` (``D_n``, once per factorization) stores each scaled
-  multiplier as its right sums, and :func:`_back_substitute`, comparing the
-  same ``D_n``, forms each unknown's left sums once;
-* :func:`_integral_product` (its own denominator) takes ``_product``.
+* by shape, in ``matrix.rc_product``: when every dimension of the product
+  is at least ``matrix._SUMS_FROM`` (6), each row of the left factor and
+  each column of the right one is written once as integer numerators over
+  the lcm of its denominators and as eight vectors of sums
+  (``quaternion._sum_vectors``), and each entry is eight integer dot
+  products summed in C (``quaternion._dot_of_sums``).  Smaller products,
+  among them every product with a dimension of 1, take ``_dot``.
+  ``cr_product`` and everything built on ``rc_product`` inherit the rule.
+* by width, in this module's kernel: each fork compares a number it
+  already holds with the one constant ``_WIDE``, and past it
 
-At or below it they take the sixteen, as ``*`` and the dot products
-(``quaternion._dot``) do at every width.
+  * :func:`_eliminate_rows` (the pivot norm ``N(P)``, once per echelon
+    row) takes ``conj(P) * row`` by ``_product`` and stores the right sums
+    of the tail, and each :func:`_reduce` step against the row forms its
+    lead's left sums once;
+  * :func:`_factor` (``D_n``, once per factorization) stores each scaled
+    multiplier as its right sums, and :func:`_back_substitute`, comparing
+    the same ``D_n``, forms each unknown's left sums once;
+  * :func:`_integral_product` (its own denominator) takes ``_product``.
+
+  At or below it they take the sixteen.
+
+Both constants come from crossover measurements, in their comments.
 """
 
 from itertools import chain
@@ -122,7 +136,7 @@ from .quaternion import (
 
 _NIL = (0, 0, 0, 0)  # the numerators of a zero entry
 
-# The threshold of the forks in the module docstring.  On CPython 3.11
+# The threshold of the kernel's forks in the module docstring.  On CPython 3.11
 # (x86-64), over 200 random operand pairs, best of 7, _product took 1.52,
 # 1.17, 1.13, 0.88 and 0.71 times the inline form's time at 32, 64, 128, 256
 # and 512 bits, and the eight multiplications on sums formed beforehand 0.73,
@@ -133,10 +147,10 @@ _NIL = (0, 0, 0, 0)  # the numerators of a zero entry
 # (and its inverses 2% less), and with _WIDE at 2^64 for every fork 5%
 # longer.  At 2^128 the echelon rows and D_n of an 8 x 8 inverse of small
 # rationals (D_n about 226 bits) take the stored sums.  Wide lone products
-# occur too but stay on the sixteen: a seed-1 dense_inverse round of the
-# benchmark has 288 of its 15,742 dot-product terms past _WIDE (216 in
-# rc_inverse_via_quasidet's round-trip product at n = 6, 60 in _kernel_column
-# and 12 in its s), and 48 of its 52 products by *.
+# occur too but stay on the sixteen: of the 2,422 dot-product terms that a
+# seed-1 dense_inverse round of the benchmark leaves below rc_product's
+# shape rule, 72 are past _WIDE (60 in _kernel_column and 12 in its s), and
+# 48 of its 52 products by * are.
 _WIDE = 1 << 128
 
 

@@ -20,20 +20,23 @@ A value is the tuple of its four integer numerators over one shared positive
 denominator, kept coprime, so every result is normalized by a 5-way gcd.  The
 matrix products normalize once per entry, not once per operation:
 :func:`_dot` forms a sum of products on raw integer numerators over the lcm
-of its term denominators before a single gcd.  The elimination kernel in
+of its term denominators before a single gcd, and :func:`_dot_of_sums` over
+the product of its two sequences' denominators.  The elimination kernel in
 ``quasidet`` goes further: it keeps each row as integer numerators over one
 denominator and takes one content gcd per echelon row it keeps.  The tuple
 layout is private: the components are exposed as :class:`fractions.Fraction`
 values.
 
-Every product here, ``*`` and each term of :func:`_dot`, takes the Hamilton
-formula's sixteen multiplications, written out inline.  :func:`_product` is
-the same four numerators from eight multiplications (Howell and Lafon),
-which multiply eight sums of each factor (:func:`_left_sums`,
-:func:`_right_sums`); a caller that multiplies by one factor many times can
-form that factor's sums once, leaving eight multiplications and eleven
-additions per product.  Which form a caller takes is the elimination
-kernel's choice, not this module's (see ``quasidet``).
+``*`` and each term of :func:`_dot` take the Hamilton formula's sixteen
+multiplications, written out inline.  :func:`_product` is the same four
+numerators from eight multiplications (Howell and Lafon), which multiply
+eight sums of each factor (:func:`_left_sums`, :func:`_right_sums`); a
+caller that multiplies by one factor many times can form that factor's sums
+once, leaving eight multiplications and eleven additions per product.
+:func:`_sum_vectors` does so for a whole sequence of quaternions, and
+:func:`_dot_of_sums` then takes a dot product of two prepared sequences as
+eight dot products of integer vectors.  Which form a caller takes is stated
+once, in the ``quasidet`` module docstring.
 
 Text and JSON read and write the tuple directly.  The parser matches one
 compiled pattern per signed term (``_TERM``), tells every malformed input
@@ -46,6 +49,7 @@ The formatter and the CLI's JSON reduce each component with one gcd
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import ParseError
 
@@ -264,6 +268,43 @@ def _right_sums(e, f, g, h):
     m_4``, ``half - t678 + m_5``, ``half - m_3 + m_6`` and ``half - m_2 +
     m_7``: a caller that reuses a factor forms its sums once."""
     return f - g, f + g, e - h, e + h, g - h, e + f, g + h, e - f
+
+
+def _sum_vectors(entries, sums):
+    """The quaternions ``entries`` as integer numerators over the lcm of
+    their denominators, each replaced by its eight ``sums``
+    (:func:`_left_sums` or :func:`_right_sums`).  Returns eight vectors,
+    the first sum of every entry, then the second and so on, and that
+    lcm."""
+    den = lcm(*[e[4] for e in entries])
+    return list(zip(*[
+        sums(w, x, y, z) if d == den else sums(w * (s := den // d), x * s, y * s, z * s)
+        for w, x, y, z, d in entries
+    ])), den
+
+
+def _dot_of_sums(left, right):
+    """:func:`_dot` of two equally long sequences of quaternions given by
+    :func:`_sum_vectors`, the left one by its left sums and the right one by
+    its right sums.  Each of the eight products of :func:`_right_sums`'
+    combine is one dot product of integer vectors, summed in C; the combine
+    then runs once per entry, and its halving is exact because it is exact
+    for every term.  The result is normalized once, over the product of the
+    two denominators."""
+    (l0, l1, l2, l3, lw, lx, ly, lz), left_den = left
+    (r0, r1, r2, r3, rw, rx, ry, rz), right_den = right
+    m1 = sum(map(mul, l1, r1))
+    m2 = sum(map(mul, l2, r2))
+    m3 = sum(map(mul, l3, r3))
+    m123 = m1 + m2 + m3
+    half = (sum(map(mul, l0, r0)) + m123) >> 1
+    return _build(
+        half - m1 + sum(map(mul, lw, rw)),
+        half - m123 + sum(map(mul, lx, rx)),
+        half - m3 + sum(map(mul, ly, ry)),
+        half - m2 + sum(map(mul, lz, rz)),
+        left_den * right_den,
+    )
 
 
 def _build(nw, nx, ny, nz, den):

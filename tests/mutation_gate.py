@@ -10,9 +10,10 @@ pass), when an old text no longer occurs exactly once, when the tests fail
 on an unmutated copy, or when a run imports ``skewlin`` from anywhere but
 its own copy (an editable install would otherwise test the real tree).
 
-Every mutant changes a value or drops a check that a test triggers.  A
-mutant that only forces one side of a size-selected fork leaves every value
-correct, so no test could kill it; there are none here.  Only the standard
+Every mutant changes a value or drops a check that a test triggers, but
+one: a mutant that only forces one side of a size-selected fork leaves every
+value correct, so only a test that asserts which form a call takes can kill
+it.  ``rc_product``'s shape rule has such a test, and its mutant here.  Only the standard
 library is used, apart from pytest in the child processes; pytest does not
 collect this file.
 """
@@ -67,11 +68,37 @@ MUTANTS = [
      "        den *= up\n    return _build(sw, sx, sy, sz, den)",
      "        den *= across\n    return _build(sw, sx, sy, sz, den)",
      [TEST_QUATERNION + "test_dot_is_left_fold_of_products"]),
-    # rc_product: the factors of each scalar product exchanged
+    # _sum_vectors: the cofactors of the lcm dropped, so entries over a
+    # smaller denominator enter unscaled
+    (QUATERNION,
+     "        sums(w, x, y, z) if d == den else",
+     "        sums(w, x, y, z) if d <= den else",
+     [TEST_ORACLE + "test_products_straddling_the_shape_rule_match_schoolbook"]),
+    # _dot_of_sums: one sign in the combine
+    (QUATERNION,
+     "        half - m3 + sum(map(mul, ly, ry)),",
+     "        half + m3 + sum(map(mul, ly, ry)),",
+     [TEST_ORACLE + "test_products_straddling_the_shape_rule_match_schoolbook"]),
+    # rc_product, below the shape rule: the factors of each scalar product
+    # exchanged
     (MATRIX,
-     "    return Matrix([[_dot(row, col) for col in columns] for row in a.cells], cols=b.cols)",
-     "    return Matrix([[_dot(col, row) for col in columns] for row in a.cells], cols=b.cols)",
+     "        return Matrix([[_dot(row, col) for col in columns] for row in a.cells], cols=b.cols)",
+     "        return Matrix([[_dot(col, row) for col in columns] for row in a.cells], cols=b.cols)",
      [TEST_MATRIX + "test_rc_product_1x1", TEST_ORACLE + "test_products_match_schoolbook_product"]),
+    # rc_product: the shape rule one size off, so an n x n product at the
+    # rule keeps _dot
+    (MATRIX,
+     "    if min(a.rows, a.cols, b.cols) < _SUMS_FROM:",
+     "    if min(a.rows, a.cols, b.cols) <= _SUMS_FROM:",
+     [TEST_ORACLE + "test_pinned_products_take_their_forms"]),
+    # rc_product, past the shape rule: the rows' left sums and the columns'
+    # right sums exchanged
+    (MATRIX,
+     "    rows = [_sum_vectors(row, _left_sums) for row in a.cells]\n"
+     "    columns = [_sum_vectors(col, _right_sums) for col in columns]\n",
+     "    rows = [_sum_vectors(row, _right_sums) for row in a.cells]\n"
+     "    columns = [_sum_vectors(col, _left_sums) for col in columns]\n",
+     [TEST_ORACLE + "test_products_straddling_the_shape_rule_match_schoolbook"]),
     # rc_product: an empty contraction given the left factor's row count
     (MATRIX,
      "    columns = list(zip(*b.cells)) if b.rows else [()] * b.cols",

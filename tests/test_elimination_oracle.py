@@ -44,6 +44,7 @@ from skewlin import (
     cr_product,
     rc_product,
 )
+from skewlin.matrix import _SUMS_FROM
 from skewlin.quasidet import _WIDE, _eliminate_rows, _factor, _numerators, _reduce
 from skewlin.quaternion import _dot
 from skewlin.rank import SolutionSet, _on_rows
@@ -453,6 +454,110 @@ def test_products_match_schoolbook_product(pair):
     # cr_product(at, bt)[j][i] = sum_k at[k][i] * bt[j][k] = sum_k a[i][k] * b[k][j]
     at, bt = a.transpose(), b.transpose()
     assert cr_product(at, bt).transpose() == schoolbook_product(a, b)
+
+
+# rc_product takes the prepared sums when every dimension of the product is
+# at least _SUMS_FROM.  Sizes just past the rule, and below it: 0, 1 and one
+# short of it.
+_PAST_RULE = (_SUMS_FROM, _SUMS_FROM + 1)
+_BELOW_RULE = (0, 1, _SUMS_FROM - 1)
+# mixed-denominator rationals with whole zero entries among them
+_sparse_quaternions = _quaternions | st.just(Quaternion.zero())
+
+
+@st.composite
+def _straddling_pairs(draw):
+    """Factors of shapes ``m x k`` and ``k x n`` with every dimension just
+    past the shape rule, or all but one, which is 0, 1 or one short of it.
+    The entries of both are ``_sparse_quaternions``, or integer quaternions
+    of up to ``digits`` digits, 100 to 300, with zeros among them."""
+    shape = [draw(st.sampled_from(_PAST_RULE)) for _ in range(3)]
+    below = draw(st.sampled_from((None, 0, 1, 2)))
+    if below is not None:
+        shape[below] = draw(st.sampled_from(_BELOW_RULE))
+    digits = draw(st.none() | st.integers(min_value=100, max_value=300))
+    entries = _sparse_quaternions
+    if digits is not None:
+        bound = 10**digits
+        entries = (st.builds(Quaternion, *[st.integers(min_value=-bound, max_value=bound)] * 4)
+                   | st.just(Quaternion.zero()))
+    m, k, n = shape
+    return (Matrix(_rows(draw, m, k, entries), cols=k),
+            Matrix(_rows(draw, k, n, entries), cols=n))
+
+
+def _pinned_pair(seed, m, k, n, digits=None):
+    """Factors of shapes ``m x k`` and ``k x n``: a fifth of the entries
+    zero, the rest rationals over mixed denominators, or integers of up to
+    ``digits`` digits."""
+    rng = random.Random(seed)
+
+    def entry():
+        if rng.random() < 0.2:
+            return Quaternion.zero()
+        if digits is None:
+            return Quaternion(*(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 7)))
+                                for _ in range(4)))
+        return Quaternion(*(rng.randrange(-10**digits, 10**digits) for _ in range(4)))
+
+    return (Matrix([[entry() for _ in range(k)] for _ in range(m)], cols=k),
+            Matrix([[entry() for _ in range(n)] for _ in range(k)], cols=n))
+
+
+# Each pinned example and whether rc_product takes the prepared sums on it
+_K = _SUMS_FROM
+_PINNED_PRODUCTS = [
+    (_pinned_pair(1, _K, _K, _K), True),
+    (_pinned_pair(2, _K + 1, _K, _K + 2), True),
+    (_pinned_pair(3, _K, _K, _K, digits=300), True),
+    (_pinned_pair(4, _K - 1, _K, _K), False),
+    (_pinned_pair(5, _K, _K - 1, _K), False),
+    (_pinned_pair(6, _K, _K, _K - 1), False),
+    (_pinned_pair(7, 1, _K, _K, digits=100), False),
+    (_pinned_pair(8, _K, 1, _K), False),
+    (_pinned_pair(9, _K, 0, _K), False),
+    (_pinned_pair(10, 0, _K, _K), False),
+    (_pinned_pair(11, _K - 1, _K - 1, _K - 1, digits=300), False),
+]
+
+
+def _pinned(test):
+    for pair, _ in _PINNED_PRODUCTS:
+        test = example(pair)(test)
+    return test
+
+
+@_pinned
+@given(_straddling_pairs())
+@settings(max_examples=30)
+def test_products_straddling_the_shape_rule_match_schoolbook(pair):
+    """Both products agree with the schoolbook fold on each side of
+    ``rc_product``'s shape rule, as ``test_products_match_schoolbook_product``
+    checks below it."""
+    a, b = pair
+    expected = schoolbook_product(a, b)
+    assert rc_product(a, b) == expected
+    at, bt = a.transpose(), b.transpose()
+    assert cr_product(at, bt).transpose() == expected
+
+
+def test_pinned_products_take_their_forms(monkeypatch):
+    """The pinned examples above reach both forms, each where the list says:
+    one prepared-sums entry, or one ``_dot``, per entry of the product, and
+    never the other."""
+    calls = []
+    for name in ("_dot", "_dot_of_sums"):
+        form = getattr(lib.matrix, name)
+        monkeypatch.setattr(lib.matrix, name,
+                            lambda *args, form=form, name=name: calls.append(name) or form(*args))
+    for (a, b), sums in _PINNED_PRODUCTS:
+        for product, left, right in ((rc_product, a, b),
+                                     (cr_product, a.transpose(), b.transpose())):
+            calls.clear()
+            product(left, right)
+            expected = "_dot_of_sums" if sums else "_dot"
+            assert calls == [expected] * (a.rows * b.cols)
+    assert {sums for _, sums in _PINNED_PRODUCTS} == {True, False}
 
 
 def _big_integer_matrix(rng, rows, cols, digits):
