@@ -46,7 +46,9 @@ from .quaternion import (
 # small rationals at n = 4 to 8, 0.71 on a 6 x 6 matrix times its inverse
 # and 0.57 on 6 x 6 matrices of 300-digit integers.  A thin dimension loses
 # even next to large ones: 1.12 on 1 x 16 times 16 x 16, 1.19 on 16 x 2
-# times 2 x 16.
+# times 2 x 16.  The sums form also needs a nonempty contraction, which
+# _dot_of_sums cannot unpack from zip(*[]); the rule ensures one, since every
+# dimension is then at least 6.
 _SUMS_FROM = 6
 
 

@@ -120,6 +120,7 @@ scalar product:
 Both constants come from crossover measurements, in their comments.
 """
 
+from collections import namedtuple
 from itertools import chain
 from math import gcd, lcm
 
@@ -146,12 +147,12 @@ _NIL = (0, 0, 0, 0)  # the numerators of a zero entry
 # benchmark's rank and solve rounds on matrices up to 7 x 7 took 3% longer
 # (and its inverses 2% less), and with _WIDE at 2^64 for every fork 5%
 # longer.  At 2^128 the echelon rows and D_n of an 8 x 8 inverse of small
-# rationals (D_n about 226 bits) take the stored sums.  Wide lone products
-# occur too but stay on the sixteen: of the 2,422 dot-product terms that a
-# seed-1 dense_inverse round of the benchmark leaves below rc_product's
-# shape rule, 72 are past _WIDE (60 in _kernel_column and 12 in its s), and
-# 48 of its 52 products by * are.
+# rationals (D_n about 226 bits) take the stored sums.  Wide lone products,
+# such as the dot products of _kernel_column, stay on the sixteen.
 _WIDE = 1 << 128
+
+_Elimination = namedtuple("_Elimination", "kept echelon pivots leads")
+_Factorization = namedtuple("_Factorization", "echelon row_scales dets inverses below")
 
 
 def _numerators(entries):
@@ -169,15 +170,15 @@ def _eliminate_rows(matrix):
     """One forward elimination pass over the rows of ``matrix``, in order,
     with left row operations, stopping once every column holds a pivot.
 
-    Returns ``(kept, echelon, pivots, leads)``.  ``kept`` lists the 0-based
-    rows that stayed independent of the rows before them; a kept row's
-    position in ``kept`` is its kept index.  ``echelon`` holds one
-    ``(pivot, tail, t, den, right)`` per kept row, sorted by pivot column:
-    the row ``E_t`` of kept index ``t`` reduced against the earlier kept
-    rows and scaled to a one at its pivot.  It is stored as integer
-    numerators over ``den``, and ``tail`` holds one ``(column, w, x, y,
-    z)`` for every column right of the pivot.  With ``P`` the numerators of
-    the reduced row's pivot ``pi_t``, ``E_t = conj(P) * row / N(P)``: the
+    Returns an ``_Elimination`` record of four lists.  ``kept`` holds the
+    0-based rows that stayed independent of the rows before them; a kept
+    row's position in ``kept`` is its kept index.  ``echelon`` holds one
+    plain tuple ``(pivot, tail, t, den, right)`` per kept row, sorted by
+    pivot column: the row ``E_t`` of kept index ``t`` reduced against the
+    earlier kept rows and scaled to a one at its pivot.  It is stored as
+    integer numerators over ``den``, and ``tail`` holds one ``(column, w, x,
+    y, z)`` for every column right of the pivot.  With ``P`` the numerators
+    of the reduced row's pivot ``pi_t``, ``E_t = conj(P) * row / N(P)``: the
     row's own denominator cancels, and dividing by the content (the gcd of
     ``N(P)`` and every numerator) leaves the stored row primitive.  When
     ``N(P)`` exceeds ``_WIDE``, ``right`` holds one ``(column, *sums)`` per
@@ -185,16 +186,14 @@ def _eliminate_rows(matrix):
     it is None.  ``pivots[t]`` is ``(a, b, c, d, den)``: ``P`` over the
     reduced row's denominator, so ``pi_t = P / den``, not in lowest terms;
     :func:`_factor` reads its inverse off it.  ``leads[p]`` is the pair of
-    the multipliers ``(t,
-    lambda)`` the reduction of row ``p`` applied, one per echelon row it met
-    with a nonzero lead, and the row's scale, the lcm of its denominators.
-    Each ``lambda`` is the tuple ``(w, x, y, z, d)`` of its numerators over
-    ``d``, not necessarily in lowest terms.  Row ``p`` is therefore
-    ``sum(lambda * E_t) + pi * E_p`` (no last term when it was not kept):
-    the kept rows are ``L * E`` with ``L`` lower triangular in kept order.
-    ``leads`` covers only the rows the pass reached; every later row is
-    dependent, and :func:`_reduce` against the final ``echelon`` gives its
-    multipliers.
+    the multipliers ``(t, lambda)`` the reduction of row ``p`` applied, one
+    per echelon row it met with a nonzero lead, and the row's scale, the
+    lcm of its denominators.  Each ``lambda`` is the tuple ``(w, x, y, z,
+    d)`` of its numerators over ``d``, not necessarily in lowest terms.  Row
+    ``p`` is therefore ``sum(lambda * E_t) + pi * E_p`` (no last term when it
+    was not kept): the kept rows are ``L * E`` with ``L`` lower triangular
+    in kept order.  ``leads`` covers only the rows the pass reached;
+    :func:`_complete` extends it to the rest.
     """
     kept, echelon, pivots, leads = [], [], [], []
     cols = matrix.cols
@@ -232,7 +231,7 @@ def _eliminate_rows(matrix):
         echelon.sort(key=lambda row: row[0])
         kept.append(p)
         pivots.append((a, b, c, d, den))
-    return kept, echelon, pivots, leads
+    return _Elimination(kept, echelon, pivots, leads)
 
 
 def _reduce(row, den, echelon):
@@ -349,10 +348,22 @@ def _integral_product(scale, q, p, divisor, what):
     return _quotient(scale * w, scale * x, scale * y, scale * z, den, what)
 
 
-def _factor(kept, echelon, pivots, leads):
-    """The integral factors ``(echelon, row_scales, dets, inverses, below)``
-    of the kept rows of one elimination that :func:`_back_substitute` solves
-    with.
+def _complete(elimination, matrix):
+    """Extend ``elimination.leads``, in place, to every row of ``matrix``, the
+    pass's matrix: each row after the pass's stop is dependent, and reducing
+    it against the final echelon rows gives its multipliers."""
+    for cells in matrix.cells[len(elimination.leads):]:
+        row, scale = _numerators(cells)
+        elimination.leads.append((_reduce(row, scale, elimination.echelon)[0], scale))
+
+
+def _factor(elimination, matrix):
+    """The integral factors ``L * E`` of the kept rows of ``elimination``,
+    the pass over ``matrix``, that :func:`_back_substitute` solves with, as
+    a ``_Factorization`` record: ``echelon`` is the pass's ``E``, and
+    ``row_scales``, ``dets``, ``inverses`` and ``below`` give ``L``.  It
+    first completes the pass's ``leads`` (:func:`_complete`), which the
+    solves for the dependent rows read.
 
     ``row_scales[t]`` is ``r_t``, the scale :func:`_eliminate_rows` recorded
     for kept row ``t``, the lcm of its denominators, so the rows ``r_t *
@@ -386,9 +397,11 @@ def _factor(kept, echelon, pivots, leads):
     once here rather than once per solve.  ``M_kj`` is its four numerators,
     or its eight ``_right_sums`` when ``D_n`` exceeds ``_WIDE``.  Every
     division is exact, and checked."""
+    _complete(elimination, matrix)
+    kept, leads = elimination.kept, elimination.leads
     det = 1
     row_scales, dets, inverses = [], [], []
-    for p, (a, b, c, d, den) in zip(kept, pivots):
+    for p, (a, b, c, d, den) in zip(kept, elimination.pivots):
         r = leads[p][1]
         scaled = det * r * r
         det, rest = divmod(scaled * (a * a + b * b + c * c + d * d), den * den)
@@ -409,7 +422,7 @@ def _factor(kept, echelon, pivots, leads):
         for j, lead in multipliers:
             m = _integral_product(-r, lead, inverses[j], 1, "a scaled multiplier")
             below[j].append((k, _right_sums(*m) if wide else m))
-    return echelon, row_scales, dets, inverses, below
+    return _Factorization(elimination.echelon, row_scales, dets, inverses, below)
 
 
 def _back_substitute(z, scale, factor):
@@ -435,7 +448,8 @@ def _back_substitute(z, scale, factor):
     unknown needs, goes to that gcd undivided, over ``D_1 * D * d``.  Where
     :func:`_factor` stored each ``M_kj`` as its right sums, each ``Y_k`` is
     kept as its left sums.  Every division is exact and checked."""
-    _, row_scales, dets, inverses, below = factor
+    row_scales, dets, inverses = factor.row_scales, factor.dets, factor.inverses
+    below = factor.below
     last = len(row_scales) - 1
     if last < 0:
         return []
@@ -503,7 +517,7 @@ def _solve_row(entries, factor):
     left row span.  Reducing ``entries`` against the echelon rows ``E``
     writes it as ``z * E``, and ``y`` solves ``y * L == z``."""
     row, scale = _numerators(entries)
-    z, rest, _ = _reduce(row, scale, factor[0])
+    z, rest, _ = _reduce(row, scale, factor.echelon)
     if any(map(any, rest)):
         return None
     return _back_substitute(z, scale, factor)
@@ -517,10 +531,10 @@ def solve_nonsingular(a, b):
     ``b`` without ``a.rows`` columns."""
     if not a.is_square:
         raise DimensionMismatch(f"only square matrices invert, got {a.shape}")
-    kept, echelon, pivots, leads = _eliminate_rows(a)
-    if len(kept) < a.rows:
+    elimination = _eliminate_rows(a)
+    if len(elimination.kept) < a.rows:
         raise SingularMatrixError(f"matrix {a} is singular")
-    factor = _factor(kept, echelon, pivots, leads)
+    factor = _factor(elimination, a)
     if b.cols != a.rows:
         raise DimensionMismatch(f"rc product needs {b.shape} x {a.shape} inner match")
     return Matrix([_solve_row(row, factor) for row in b.cells], cols=a.rows)
@@ -540,8 +554,7 @@ def is_rc_nonsingular(a):
     """True when ``a`` is square and has a two-sided inverse."""
     if not a.is_square:
         return False
-    kept, _, _, _ = _eliminate_rows(a)
-    return len(kept) == a.rows
+    return len(_eliminate_rows(a).kept) == a.rows
 
 
 def rc_quasideterminant(a, p, r):
@@ -560,7 +573,7 @@ def rc_quasideterminant(a, p, r):
     # column r moved last: the complement fills the first n - 1 columns
     cells = [row[:r - 1] + row[r:] + (row[r - 1],) for row in a.cells]
     target = cells.pop(p - 1)
-    _, echelon, _, _ = _eliminate_rows(Matrix(cells, cols=n))
+    echelon = _eliminate_rows(Matrix(cells, cols=n)).echelon
     if [pivot for pivot, *_ in echelon] != list(range(n - 1)):
         return None
     _, rest, den = _reduce(*_numerators(target), echelon)
@@ -584,7 +597,7 @@ def _kernel_column(complement):
     normalised once by :func:`_dot`, which takes each ``E_qj`` as its
     numerators over the echelon row's denominator."""
     n = complement.cols
-    _, echelon, _, _ = _eliminate_rows(complement)
+    echelon = _eliminate_rows(complement).echelon
     if len(echelon) < n - 1:
         return None
     pivots = {pivot for pivot, *_ in echelon}

@@ -31,8 +31,8 @@ forms an inverse:
   the row's entries on the minor's columns;
 * :func:`solve_general` solves ``x * A = b`` for any ``A``.  A dependent
   row's homogeneous basis row is its unit row minus the back substitution
-  of its own multipliers.  The rows after the pass's stop are reduced
-  against the final echelon rows for theirs.
+  of its own multipliers; ``quasidet._complete`` reduces the rows after
+  the pass's stop against the final echelon rows for theirs.
 
 All index sets are 1-based and refer to the matrix's own display grid.
 """
@@ -41,15 +41,7 @@ from collections import namedtuple
 
 from .errors import DimensionMismatch, InvalidRowError, SingularMatrixError
 from .matrix import Matrix, _Frozen, rc_product
-from .quasidet import (
-    _back_substitute,
-    _eliminate_rows,
-    _factor,
-    _numerators,
-    _reduce,
-    _solve_row,
-    solve_nonsingular,
-)
+from .quasidet import _back_substitute, _eliminate_rows, _factor, _solve_row, solve_nonsingular
 from .quaternion import Quaternion
 
 
@@ -88,12 +80,12 @@ class RankReport(_Frozen, namedtuple("RankReport", "rank minor")):
 
 def rc_rank(a):
     """Rank and major minor under the row-times-column product."""
-    kept, echelon, _, _ = _eliminate_rows(a)
-    if not kept:
+    elimination = _eliminate_rows(a)
+    if not elimination.kept:
         return RankReport(0, None)
-    rows = tuple(p + 1 for p in kept)
-    cols = tuple(pivot + 1 for pivot, *_ in echelon)
-    return RankReport(len(kept), IndexSelection(rows, cols))
+    rows = tuple(p + 1 for p in elimination.kept)
+    cols = tuple(pivot + 1 for pivot, *_ in elimination.echelon)
+    return RankReport(len(rows), IndexSelection(rows, cols))
 
 
 def cr_rank(a):
@@ -153,14 +145,9 @@ def solve_general(a, b):
         raise DimensionMismatch(
             f"right-hand side must be 1 x {a.cols}, got {b.shape}"
         )
-    kept, echelon, pivots, leads = _eliminate_rows(a)
-    # the pass stops at a full set of pivots; every row after that point is
-    # dependent, and reducing it against the final echelon rows gives its
-    # multipliers
-    for row in a.cells[len(leads):]:
-        numerators, scale = _numerators(row)
-        leads.append((_reduce(numerators, scale, echelon)[0], scale))
-    factor = _factor(kept, echelon, pivots, leads)
+    elimination = _eliminate_rows(a)
+    factor = _factor(elimination, a)  # which completes elimination.leads
+    kept, leads = elimination.kept, elimination.leads
     independent = set(kept)
     dependent = [p for p in range(a.rows) if p not in independent]
     free = tuple(p + 1 for p in dependent)

@@ -10,12 +10,21 @@ block matrix ``chi(A)`` over the field ``Q(i)`` has
   major minor, and columns in which it rises by 2 exactly at its columns;
 * the inverse ``chi(A^-1)`` whenever ``A`` is invertible.
 
+Since ``det chi(q) = N(q)`` for a quaternion ``q``, ``det chi`` of a square
+quaternion matrix is its Study determinant.  Scaled by their
+``row_scales`` and restricted to the pivot columns of the first ``t + 1``
+kept rows, the first ``t + 1`` kept rows factor as ``L * E`` with ``E``
+unit triangular up to the order of its columns, so ``det chi`` of them is
+the prefix Study determinant ``dets[t]`` of ``quasidet._factor``.
+
 The oracle computes these by Gaussian elimination over ``Q(i)``, written
 here with ``Fraction`` pairs.  It shares no code with ``skewlin.quasidet``:
 it reads the quaternions' components, and calls the library only for the
-``rc_rank`` and ``rc_inverse`` it checks.  The brute-force oracles stop at
-5 x 5; this one checks the forward pass at n = 6, 8 and 12, at full rank
-and at half rank.
+``rc_rank`` and ``rc_inverse`` it checks, and for the elimination and
+factorization records whose kept rows, pivot columns, row scales and
+prefix determinants it reads.  The brute-force oracles stop at 5 x 5; this
+one checks the forward pass and the factorization at n = 6, 8 and 12, at
+full rank and at half rank.
 """
 
 import random
@@ -24,7 +33,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from skewlin import Matrix, Quaternion, SingularMatrixError, rc_inverse, rc_rank
+from skewlin import Matrix, Quaternion, SingularMatrixError, quasidet, rc_inverse, rc_rank
 
 ZERO = (Fraction(0), Fraction(0))
 ONE = (Fraction(1), Fraction(0))
@@ -86,6 +95,27 @@ def gauss_jordan(rows, augment=False):
     if not augment or len(basis) < width:
         return ranks, None
     return ranks, [row[width:] for _, row in sorted(basis, key=lambda kept: kept[0])]
+
+
+def determinant(rows):
+    """The determinant over Q(i) of the square matrix ``rows``, by Gaussian
+    elimination with row exchanges."""
+    rows = [list(row) for row in rows]
+    det = ONE
+    for c in range(len(rows)):
+        r = next((r for r in range(c, len(rows)) if rows[r][c] != ZERO), None)
+        if r is None:
+            return ZERO
+        if r != c:
+            rows[c], rows[r] = rows[r], rows[c]
+            det = (-det[0], -det[1])
+        det = _mul(det, rows[c][c])
+        scale = _inverse(rows[c][c])
+        for row in rows[c + 1:]:
+            lead = _mul(row[c], scale)
+            if lead != ZERO:
+                row[c:] = [_sub(e, _mul(lead, f)) for e, f in zip(row[c:], rows[c][c:])]
+    return det
 
 
 def rises(ranks):
@@ -152,3 +182,21 @@ def test_kernel_matches_chi_oracle(n, kind, seed):
             rc_inverse(a)
     else:
         assert chi(rc_inverse(a)) == expected
+
+
+@pytest.mark.parametrize("kind", ["full", "half"])
+@pytest.mark.parametrize("n", [6, 8, 12])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=1, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+def test_prefix_study_determinants_match_chi_oracle(n, kind, seed):
+    a = _case(n, kind, seed)
+    elimination = quasidet._eliminate_rows(a)
+    factor = quasidet._factor(elimination, a)
+    column = {t: pivot for pivot, _, t, *_ in factor.echelon}
+    scales = [r for r in factor.row_scales for _ in (0, 1)]  # two rows of chi per row
+    for t, det in enumerate(factor.dets):
+        columns = [column[k] for k in range(t + 1)]
+        block = Matrix([[a.cells[p][j] for j in columns] for p in elimination.kept[:t + 1]],
+                       cols=t + 1)
+        scaled = [[(r * re, r * im) for re, im in row] for row, r in zip(chi(block), scales)]
+        assert determinant(scaled) == (det, 0)

@@ -45,7 +45,7 @@ from skewlin import (
     rc_product,
 )
 from skewlin.matrix import _SUMS_FROM
-from skewlin.quasidet import _WIDE, _eliminate_rows, _factor, _numerators, _reduce
+from skewlin.quasidet import _WIDE, _complete, _eliminate_rows, _factor, _numerators, _reduce
 from skewlin.quaternion import _dot
 from skewlin.rank import SolutionSet, _on_rows
 from skewlin.sampling import (
@@ -697,7 +697,7 @@ def test_back_substitution_above_oracle_sizes_on_big_entries(n):
 # once (``mu``), and ``rational_back_substitute`` sums each unknown with
 # ``_dot``.  The solvers built on it, ``rational_solve_nonsingular`` and
 # ``rational_solve_general``, repeat the library's own on the same forward
-# pass.
+# pass, which the library's ``_complete`` extends to every row.
 
 
 def value(numerators):
@@ -705,13 +705,13 @@ def value(numerators):
     return Quaternion(Fraction(w, d), Fraction(x, d), Fraction(y, d), Fraction(z, d))
 
 
-def rational_factor(kept, echelon, pivots, leads):
-    scales = [value(pivot).inverse() for pivot in pivots]
-    below = [[] for _ in kept]
-    for k, p in enumerate(kept):
-        for j, lead in leads[p][0]:
+def rational_factor(elimination):
+    scales = [value(pivot).inverse() for pivot in elimination.pivots]
+    below = [[] for _ in elimination.kept]
+    for k, p in enumerate(elimination.kept):
+        for j, lead in elimination.leads[p][0]:
             below[j].append((k, -(value(lead) * scales[j])))
-    return echelon, scales, below
+    return elimination.echelon, scales, below
 
 
 def rational_back_substitute(z, factor):
@@ -743,10 +743,10 @@ def rational_solve_row(entries, factor):
 def rational_solve_nonsingular(a, b):
     if not a.is_square:
         raise DimensionMismatch(f"only square matrices invert, got {a.shape}")
-    kept, echelon, pivots, leads = _eliminate_rows(a)
-    if len(kept) < a.rows:
+    elimination = _eliminate_rows(a)
+    if len(elimination.kept) < a.rows:
         raise SingularMatrixError(f"matrix {a} is singular")
-    factor = rational_factor(kept, echelon, pivots, leads)
+    factor = rational_factor(elimination)
     if b.cols != a.rows:
         raise DimensionMismatch(f"rc product needs {b.shape} x {a.shape} inner match")
     return Matrix([rational_solve_row(row, factor) for row in b.cells], cols=a.rows)
@@ -773,9 +773,10 @@ def rational_solve_general(a, b):
         raise DimensionMismatch(
             f"right-hand side must be 1 x {a.cols}, got {b.shape}"
         )
-    kept, echelon, pivots, leads = _eliminate_rows(a)
-    leads += [(_reduce(*_numerators(row), echelon)[0], None) for row in a.cells[len(leads):]]
-    factor = rational_factor(kept, echelon, pivots, leads)
+    elimination = _eliminate_rows(a)
+    _complete(elimination, a)
+    factor = rational_factor(elimination)
+    kept, leads = elimination.kept, elimination.leads
     independent = set(kept)
     dependent = [p for p in range(a.rows) if p not in independent]
     free = tuple(p + 1 for p in dependent)
@@ -897,9 +898,9 @@ def test_back_substitution_examples_reach_their_cases():
     ``_factor`` keeps each multiplier as its four numerators up to ``D_n =
     _WIDE`` and as its eight right sums past it."""
     for (a, _, _), det, width in ((_AT_WIDE, _WIDE, 4), (_PAST_WIDE, _WIDE + 1, 8)):
-        _, _, dets, _, below = _factor(*_eliminate_rows(a))
-        assert dets[-1] == det
-        assert {len(m) for column in below for _, m in column} == {width}
+        factor = _factor(_eliminate_rows(a), a)
+        assert factor.dets[-1] == det
+        assert {len(m) for column in factor.below for _, m in column} == {width}
 
 
 @st.composite

@@ -250,12 +250,12 @@ def _system(seed, n=3):
     and that row's coordinates on the echelon rows and scale."""
     rng = random.Random(seed)
     a = random_nonsingular_matrix(rng, n, bound=4)
-    kept, echelon, pivots, leads = quasidet._eliminate_rows(a)
+    elimination = quasidet._eliminate_rows(a)
     entries = random_row(rng, n, bound=4).cells[0]
     row, scale = quasidet._numerators(entries)
-    z, _, _ = quasidet._reduce(row, scale, echelon)
+    z, _, _ = quasidet._reduce(row, scale, elimination.echelon)
     assert len(z) == n  # every unknown has a right-hand side
-    return a, (kept, echelon, pivots, leads), entries, z, scale
+    return a, elimination, entries, z, scale
 
 
 def _over_prime(value):
@@ -267,41 +267,44 @@ def _over_prime(value):
 
 def test_uncorrupted_factor_solves():
     a, elimination, entries, z, scale = _system(1)
-    factor = quasidet._factor(*elimination)
+    factor = quasidet._factor(elimination, a)
     x = Matrix.row(quasidet._back_substitute(z, scale, factor))
     assert rc_product(x, a) == Matrix.row(entries)
 
 
 def test_prefix_determinant_division_is_checked():
     # D_2 = D_1 * r_1^2 * N(P) / den^2, with den a factor _PRIME too large
-    _, (kept, echelon, pivots, leads), _, _, _ = _system(2)
-    pivots = pivots[:1] + [_over_prime(pivots[1])] + pivots[2:]
+    a, elimination, _, _, _ = _system(2)
+    pivots = elimination.pivots
+    elimination = elimination._replace(pivots=pivots[:1] + [_over_prime(pivots[1])] + pivots[2:])
     _raises_internal("a prefix Study determinant",
-                     lambda: quasidet._factor(kept, echelon, pivots, leads))
+                     lambda: quasidet._factor(elimination, a))
 
 
 def test_pivot_inverse_division_is_checked():
     # P times 3 + 4i over 5 den keeps N(P) / den^2, so D_2 is still
     # integral, but P_1 = D_1 * r_1^2 * conj(P) / den is not
-    _, (kept, echelon, pivots, leads), _, _, _ = _system(2)
+    matrix, elimination, _, _, _ = _system(2)
+    pivots = elimination.pivots
     a, b, c, d, den = pivots[1]
     pivots = pivots[:1] + [(*_product(a, b, c, d, 3, 4, 0, 0), den * 5)] + pivots[2:]
     _raises_internal("a scaled pivot inverse",
-                     lambda: quasidet._factor(kept, echelon, pivots, leads))
+                     lambda: quasidet._factor(elimination._replace(pivots=pivots), matrix))
 
 
 def test_multiplier_division_is_checked():
-    _, (kept, echelon, pivots, leads), _, _, _ = _system(3)
-    leads = list(leads)
-    ((j, lead), *rest), scale = leads[kept[1]]
-    leads[kept[1]] = ([(j, _over_prime(lead))] + rest, scale)
+    a, elimination, _, _, _ = _system(3)
+    leads = list(elimination.leads)
+    second = elimination.kept[1]
+    ((j, lead), *rest), scale = leads[second]
+    leads[second] = ([(j, _over_prime(lead))] + rest, scale)
     _raises_internal("a scaled multiplier",
-                     lambda: quasidet._factor(kept, echelon, pivots, leads))
+                     lambda: quasidet._factor(elimination._replace(leads=leads), a))
 
 
 def test_right_hand_side_division_is_checked():
     a, elimination, _, z, scale = _system(4)
-    factor = quasidet._factor(*elimination)
+    factor = quasidet._factor(elimination, a)
     (j, value), *rest = sorted(z, key=lambda pair: pair[0])
     assert j < a.rows - 1
     z = [(j, _over_prime(value))] + rest
@@ -311,15 +314,15 @@ def test_right_hand_side_division_is_checked():
 
 @pytest.mark.parametrize("corrupt", ["inner determinant", "last row scale"])
 def test_unknown_division_is_checked(corrupt):
-    _, elimination, _, z, scale = _system(5)
-    echelon, row_scales, dets, inverses, below = quasidet._factor(*elimination)
+    a, elimination, _, z, scale = _system(5)
+    factor = quasidet._factor(elimination, a)
+    dets, row_scales = factor.dets, factor.row_scales
     if corrupt == "inner determinant":
         # the middle unknown's sum is divided by r_1 * (D_2 + 1)
-        dets = dets[:1] + [dets[1] + 1] + dets[2:]
+        factor = factor._replace(dets=dets[:1] + [dets[1] + 1] + dets[2:])
     else:
         # the last unknown is W_2 / r_2
-        row_scales = row_scales[:2] + [row_scales[2] * _PRIME]
-    factor = (echelon, row_scales, dets, inverses, below)
+        factor = factor._replace(row_scales=row_scales[:2] + [row_scales[2] * _PRIME])
     _raises_internal("a back-substituted unknown",
                      lambda: quasidet._back_substitute(z, scale, factor))
 
@@ -401,7 +404,7 @@ def _pivot_row(pivot):
                  "1+2i+j, -i-j-k, -2+2i+2k"))
 def test_reduce_matches_per_entry_reduction(reduction):
     a, entries = reduction
-    _, echelon, _, _ = quasidet._eliminate_rows(a)
+    echelon = quasidet._eliminate_rows(a).echelon
     row, scale = quasidet._numerators(entries)
     leads, rest, den = quasidet._reduce(row, scale, echelon)
     expected_leads, expected_rest = per_entry_reduction(entries, echelon)
@@ -411,23 +414,24 @@ def test_reduce_matches_per_entry_reduction(reduction):
 
 def test_reduce_examples_reach_their_cases():
     """The explicit examples above meet what their comments say."""
-    _, echelon, _, _ = quasidet._eliminate_rows(parse_matrix("[1, 2+i, j]"))
+    echelon = quasidet._eliminate_rows(parse_matrix("[1, 2+i, j]")).echelon
     assert echelon[0][3] == 1
     for pivot, norm in ((_WIDE_PIVOT, 2**400 + 1), (Quaternion(_ROOT), _WIDE),
                         (Quaternion(_ROOT, 1), _WIDE + 1)):
-        _, echelon, [(a, b, c, d, _)], _ = quasidet._eliminate_rows(_pivot_row(pivot)[0])
+        elimination = quasidet._eliminate_rows(_pivot_row(pivot)[0])
+        [(a, b, c, d, _)] = elimination.pivots
         assert a * a + b * b + c * c + d * d == norm
-        assert (echelon[0][4] is None) == (norm <= _WIDE)
+        assert (elimination.echelon[0][4] is None) == (norm <= _WIDE)
     a, entries = _parsed("[1, 1, 0; 0, i, 1]", "1, 1, 5")
-    _, echelon, _, _ = quasidet._eliminate_rows(a)
+    echelon = quasidet._eliminate_rows(a).echelon
     leads, _, _ = quasidet._reduce(*quasidet._numerators(entries), echelon)
     assert [t for t, _ in leads] == [0]
     a, entries = _parsed("[-1-j, i+j, 1+k; 1-j, -1-i-j, -1+j]", "1+k, i+k, 1+j-k")
-    _, echelon, _, _ = quasidet._eliminate_rows(a)
+    echelon = quasidet._eliminate_rows(a).echelon
     assert [e[3] for e in echelon] == [2, 3]
     assert quasidet._reduce(*quasidet._numerators(entries), echelon)[2] == 3
     a, entries = _parsed("[1-i+2j-2k, 2+2j-k, -2+2i+2j-k; -2i+2j-2k, 2-2i+2j-k, 1+2i+j]",
                          "1+2i+j, -i-j-k, -2+2i+2k")
-    _, echelon, _, _ = quasidet._eliminate_rows(a)
+    echelon = quasidet._eliminate_rows(a).echelon
     assert [e[3] for e in echelon] == [10, 13]
     assert quasidet._reduce(*quasidet._numerators(entries), echelon)[2] == 26
