@@ -91,29 +91,29 @@ The product-form policy of the library is stated here, once.  There are two
 forms: the Hamilton formula's sixteen multiplications inline, and Howell and
 Lafon's eight (``quaternion._product``) on eight sums of each factor, which
 a factor that many products share forms once.  ``*`` and the dot products of
-``quaternion._dot`` take the sixteen at every width.  Two rules take the
-eight, each read once per matrix product or per reused factor, never per
-scalar product:
+``quaternion._dot`` take the sixteen at every width.  One shape rule and
+two width rules take the eight, each read once per matrix product, echelon
+row or factorization, never per scalar product:
 
-* by shape, in ``matrix.rc_product``: when every dimension of the product
-  is at least ``matrix._SUMS_FROM`` (6), each row of the left factor and
-  each column of the right one is written once as integer numerators over
-  the lcm of its denominators and as eight vectors of sums
+* the shape rule, in ``matrix.rc_product``: when every dimension of the
+  product is at least ``matrix._SUMS_FROM`` (6), each row of the left
+  factor and each column of the right one is written once as integer
+  numerators over the lcm of its denominators and as eight vectors of sums
   (``quaternion._sum_vectors``), and each entry is eight integer dot
   products summed in C (``quaternion._dot_of_sums``).  Smaller products,
   among them every product with a dimension of 1, take ``_dot``.
   ``cr_product`` and everything built on ``rc_product`` inherit the rule.
-* by width, in this module's kernel: each fork compares a number it
-  already holds with the one constant ``_WIDE``, and past it
+* the width rules, in this module's kernel, each comparing a number it
+  already holds with the one constant ``_WIDE``; past it
 
-  * :func:`_eliminate_rows` (the pivot norm ``N(P)``, once per echelon
-    row) takes ``conj(P) * row`` by ``_product`` and stores the right sums
-    of the tail, and each :func:`_reduce` step against the row forms its
+  * the pivot norm ``N(P)``, once per echelon row: :func:`_eliminate_rows`
+    takes ``conj(P) * row`` by ``_product`` and stores the right sums of
+    the tail, and each :func:`_reduce` step against the row forms its
     lead's left sums once;
-  * :func:`_factor` (``D_n``, once per factorization) stores each scaled
-    multiplier as its right sums, and :func:`_back_substitute`, comparing
-    the same ``D_n``, forms each unknown's left sums once;
-  * :func:`_integral_product` (its own denominator) takes ``_product``.
+  * ``D_n``, once per factorization, in :func:`_factor`, whose record
+    keeps the decision as ``wide``: each scaled multiplier is stored as its
+    right sums, :func:`_back_substitute` forms each unknown's left sums
+    once, and :func:`_integral_product` takes ``_product``.
 
   At or below it they take the sixteen.
 
@@ -137,22 +137,22 @@ from .quaternion import (
 
 _NIL = (0, 0, 0, 0)  # the numerators of a zero entry
 
-# The threshold of the kernel's forks in the module docstring.  On CPython 3.11
-# (x86-64), over 200 random operand pairs, best of 7, _product took 1.52,
-# 1.17, 1.13, 0.88 and 0.71 times the inline form's time at 32, 64, 128, 256
-# and 512 bits, and the eight multiplications on sums formed beforehand 0.73,
-# 0.65, 0.64, 0.61 and 0.57.  Stored sums thus win at any width once formed,
-# but forming and storing them is paid per reused factor, which small
-# matrices do not earn back: with the sums stored at every width the
-# benchmark's rank and solve rounds on matrices up to 7 x 7 took 3% longer
-# (and its inverses 2% less), and with _WIDE at 2^64 for every fork 5%
-# longer.  At 2^128 the echelon rows and D_n of an 8 x 8 inverse of small
-# rationals (D_n about 226 bits) take the stored sums.  Wide lone products,
-# such as the dot products of _kernel_column, stay on the sixteen.
+# The threshold of the kernel's two width rules, in the module docstring.
+# On CPython 3.11 (x86-64), over 200 random operand pairs, best of 7,
+# _product took 1.52, 1.17, 1.13, 0.88 and 0.71 times the inline form's time
+# at 32, 64, 128, 256 and 512 bits, and the eight multiplications on sums
+# formed beforehand 0.73, 0.65, 0.64, 0.61 and 0.57.  Stored sums thus win
+# at any width once formed, but forming and storing them is paid per reused
+# factor, which small matrices do not earn back: with the sums stored at
+# every width the benchmark's rank and solve rounds on matrices up to 7 x 7
+# took 3% longer (and its inverses 2% less), and with _WIDE at 2^64 for both
+# rules 5% longer.  At 2^128 the echelon rows and D_n of an 8 x 8 inverse of
+# small rationals (D_n about 226 bits) take the stored sums.  Wide lone
+# products, such as the dot products of _kernel_column, stay on the sixteen.
 _WIDE = 1 << 128
 
 _Elimination = namedtuple("_Elimination", "kept echelon pivots leads")
-_Factorization = namedtuple("_Factorization", "echelon row_scales dets inverses below")
+_Factorization = namedtuple("_Factorization", "echelon row_scales dets inverses below wide")
 
 
 def _numerators(entries):
@@ -325,17 +325,18 @@ def _quotient(nw, nx, ny, nz, den, what):
     return qw, qx, qy, qz
 
 
-def _integral_product(scale, q, p, divisor, what):
+def _integral_product(scale, q, p, divisor, wide, what):
     """The four integers ``scale * q * p / divisor``, for integers ``scale``
     and ``divisor``, a quaternion ``q`` given as its numerators over a
     denominator, in lowest terms or not, and the numerators ``p`` of an
-    integral quaternion.  When the denominator of ``q`` times ``divisor``
-    divides ``scale`` the product is integral as it stands; otherwise each
-    numerator is divided by :func:`_quotient`."""
+    integral quaternion, by ``_product`` where the factorization is
+    ``wide``.  When the denominator of ``q`` times ``divisor`` divides
+    ``scale`` the product is integral as it stands; otherwise each numerator
+    is divided by :func:`_quotient`."""
     a, b, c, d, den = q
     e, f, g, h = p
     den *= divisor
-    if den > _WIDE:
+    if wide:
         w, x, y, z = _product(a, b, c, d, e, f, g, h)
     else:
         w = a * e - b * f - c * g - d * h
@@ -394,9 +395,9 @@ def _factor(elimination, matrix):
     for the kept rows ``k`` whose reduction met echelon row ``j`` with the
     lead ``lambda_kj``: column ``j`` of ``L`` below its diagonal, divided on
     the right by the diagonal entry and scaled to an integral quaternion
-    once here rather than once per solve.  ``M_kj`` is its four numerators,
-    or its eight ``_right_sums`` when ``D_n`` exceeds ``_WIDE``.  Every
-    division is exact, and checked."""
+    once here rather than once per solve.  ``wide``, the one width decision
+    ``D_n > _WIDE``, stores each ``M_kj`` as its eight ``_right_sums``.
+    Every division is exact, and checked."""
     _complete(elimination, matrix)
     kept, leads = elimination.kept, elimination.leads
     det = 1
@@ -420,9 +421,9 @@ def _factor(elimination, matrix):
     for k, p in enumerate(kept):
         multipliers, r = leads[p]
         for j, lead in multipliers:
-            m = _integral_product(-r, lead, inverses[j], 1, "a scaled multiplier")
+            m = _integral_product(-r, lead, inverses[j], 1, wide, "a scaled multiplier")
             below[j].append((k, _right_sums(*m) if wide else m))
-    return _Factorization(elimination.echelon, row_scales, dets, inverses, below)
+    return _Factorization(elimination.echelon, row_scales, dets, inverses, below, wide)
 
 
 def _back_substitute(z, scale, factor):
@@ -446,16 +447,15 @@ def _back_substitute(z, scale, factor):
     denominator of the solution, so each entry ``y_j = r_j * Y_j / (D * d)``
     is normalised with one gcd; the first unknown's sum, which no other
     unknown needs, goes to that gcd undivided, over ``D_1 * D * d``.  Where
-    :func:`_factor` stored each ``M_kj`` as its right sums, each ``Y_k`` is
-    kept as its left sums.  Every division is exact and checked."""
+    the factorization is ``wide``, each ``Y_k`` is kept as its left sums.
+    Every division is exact and checked."""
     row_scales, dets, inverses = factor.row_scales, factor.dets, factor.inverses
-    below = factor.below
+    below, wide = factor.below, factor.wide
     last = len(row_scales) - 1
     if last < 0:
         return []
     top = dets[last]
     den = top * scale
-    wide = top > _WIDE  # as in _factor: each M_kj is its right sums
     zero = Quaternion.zero()
     y = [zero] * (last + 1)
     # Y_j, or its left sums when wide, which the earlier unknowns' sums need
@@ -463,16 +463,16 @@ def _back_substitute(z, scale, factor):
     sums = [None] * (last + 1)
     for j, value in z:
         if j < last:
-            w = _integral_product(scale, value, inverses[j], 1, "a scaled right-hand side")
+            w = _integral_product(scale, value, inverses[j], 1, wide, "a scaled right-hand side")
             sums[j] = (top * w[0], top * w[1], top * w[2], top * w[3])
         elif j:
             r = row_scales[j]
             yw, yx, yy, yz = _integral_product(
-                scale, value, inverses[j], r, "a back-substituted unknown")
+                scale, value, inverses[j], r, wide, "a back-substituted unknown")
             y[j] = _build(r * yw, r * yx, r * yy, r * yz, den)
             integral[j] = _left_sums(yw, yx, yy, yz) if wide else (yw, yx, yy, yz)
         else:
-            w = _integral_product(scale, value, inverses[j], 1, "a scaled right-hand side")
+            w = _integral_product(scale, value, inverses[j], 1, wide, "a scaled right-hand side")
             y[j] = _build(*w, den)
     for j in reversed(range(last)):
         sw, sx, sy, sz = sums[j] or _NIL

@@ -1,19 +1,28 @@
-"""Mutation gate: every mutant in ``MUTANTS`` must fail one of its tests.
+"""Mutation gate: every mutant in ``MUTANTS`` must fail one of its tests,
+and every side in ``FORCED_SIDES`` must keep every value.
 
 Run from anywhere with ``python tests/mutation_gate.py``.  Each entry of
-``MUTANTS`` is ``(file, old text, new text, test node ids)``.  For each
-entry the script copies ``src/``, ``tests/`` and ``pyproject.toml`` into a
-fresh temporary directory, replaces the one occurrence of the old text in
-the copied file, and runs the named tests there with pytest, the copied
-``src/`` first on the path.  It exits 1 when a mutant survives (its tests
-pass), when an old text no longer occurs exactly once, when the tests fail
-on an unmutated copy, or when a run imports ``skewlin`` from anywhere but
-its own copy (an editable install would otherwise test the real tree).
+either table is ``(file, old text, new text, test node ids)``.  For each
+entry the script copies ``src/``, ``tests/``, ``demos/`` and
+``pyproject.toml`` into a fresh temporary directory, replaces the one
+occurrence of the old text in the copied file, and runs pytest there, the
+copied ``src/`` first on the path.
 
-Every mutant changes a value or drops a check that a test triggers, but
-one: a mutant that only forces one side of a size-selected fork leaves every
-value correct, so only a test that asserts which form a call takes can kill
-it.  ``rc_product``'s shape rule has such a test, and its mutant here.  Only the standard
+A mutant changes a value or drops a check that a test triggers, and one of
+its named tests must fail.  A forced side patches one size-selected fork to
+one of its sides, which gives the same values as the other: on the copy the
+oracles, the CLI transcript and the demo goldens of ``FORCED_RUN`` must
+pass, the entry's named tests left out, and each named test, which pins the
+form that its examples take, must fail.  A side that no test pins names
+none.  ``_back_substitute``'s first- and last-unknown shortcuts are not
+forced: the last unknown must still fill ``integral``, which the earlier
+unknowns read, so no single patch takes them off.
+
+The script exits 1 when a mutant survives (its tests pass), when a forced
+side fails a test of ``FORCED_RUN`` or passes a named test, when an old
+text no longer occurs exactly once, when the tests fail on an unmutated
+copy, or when a run imports ``skewlin`` from anywhere but its own copy (an
+editable install would otherwise test the real tree).  Only the standard
 library is used, apart from pytest in the child processes; pytest does not
 collect this file.
 """
@@ -34,6 +43,8 @@ MATRIX = "src/skewlin/matrix.py"
 QUASIDET = "src/skewlin/quasidet.py"
 RANK = "src/skewlin/rank.py"
 REPRESENTATIONS = "src/skewlin/representations.py"
+CLI = "src/skewlin/cli.py"
+BUNDLES = "src/skewlin/bundles.py"
 
 TEST_QUATERNION = "tests/test_quaternion.py::"
 TEST_MATRIX = "tests/test_matrix.py::"
@@ -41,6 +52,11 @@ TEST_ORACLE = "tests/test_elimination_oracle.py::"
 TEST_QUASIDET = "tests/test_quasidet.py::"
 TEST_CHI = "tests/test_chi_oracle.py::"
 TEST_VALUES = "tests/test_value_types.py::"
+
+# the tests that pin which form their examples take
+REDUCE_CASES = TEST_QUASIDET + "test_reduce_examples_reach_their_cases"
+BACK_SUBSTITUTION_CASES = TEST_ORACLE + "test_back_substitution_examples_reach_their_cases"
+PINNED_PRODUCTS = TEST_ORACLE + "test_pinned_products_take_their_forms"
 
 MUTANTS = [
     # _product: one sign in the w numerator
@@ -90,7 +106,7 @@ MUTANTS = [
     (MATRIX,
      "    if min(a.rows, a.cols, b.cols) < _SUMS_FROM:",
      "    if min(a.rows, a.cols, b.cols) <= _SUMS_FROM:",
-     [TEST_ORACLE + "test_pinned_products_take_their_forms"]),
+     [PINNED_PRODUCTS]),
     # rc_product, past the shape rule: the rows' left sums and the columns'
     # right sums exchanged
     (MATRIX,
@@ -114,6 +130,12 @@ MUTANTS = [
      "        echelon.sort(key=lambda row: row[0])",
      "        echelon.sort(key=lambda row: 0)",
      [TEST_CHI + "test_kernel_matches_chi_oracle"]),
+    # _eliminate_rows: the pivot-norm rule one off, so a row whose pivot
+    # norm is _WIDE stores its right sums
+    (QUASIDET,
+     "wide = norm > _WIDE",
+     "wide = norm >= _WIDE",
+     [REDUCE_CASES]),
     # _eliminate_rows: the content divides the numerators but not N(P)
     (QUASIDET,
      "        echelon.append((pivot, tail, len(kept), norm // content, right))",
@@ -193,6 +215,12 @@ MUTANTS = [
      "        det, rest = divmod(scaled * (a * a + b * b + c * c + d * d), den)",
      [TEST_QUASIDET + "test_uncorrupted_factor_solves",
       TEST_CHI + "test_prefix_study_determinants_match_chi_oracle"]),
+    # _factor: the D_n rule one off, so a factorization with D_n at _WIDE
+    # stores its multipliers' right sums
+    (QUASIDET,
+     "wide = det > _WIDE",
+     "wide = det >= _WIDE",
+     [BACK_SUBSTITUTION_CASES]),
     # _factor: one sign of conj(P) in P_t
     (QUASIDET,
      "            inverses.append((s * a, -s * b, -s * c, -s * d))",
@@ -215,9 +243,9 @@ MUTANTS = [
      [TEST_ORACLE + "test_back_substitution_above_oracle_sizes_on_big_entries"]),
     # _back_substitute: the last unknown's shortcut loses its row scale
     (QUASIDET,
-     'inverses[j], r, "a back-substituted unknown")\n'
+     'inverses[j], r, wide, "a back-substituted unknown")\n'
      "            y[j] = _build(r * yw, r * yx, r * yy, r * yz, den)",
-     'inverses[j], r, "a back-substituted unknown")\n'
+     'inverses[j], r, wide, "a back-substituted unknown")\n'
      "            y[j] = _build(yw, r * yx, r * yy, r * yz, den)",
      [TEST_ORACLE + "test_back_substitution_above_oracle_sizes"]),
     # rc_quasideterminant: the value's sign
@@ -280,6 +308,87 @@ MUTANTS = [
      '    "Section": "bundles",',
      '    "Section": "representations",',
      ["tests/test_public_api.py::test_lazy_names_are_what_their_module_defines"]),
+    # run: a singular matrix reported with the status of a usage error
+    (CLI,
+     '        return _fail(err, 1, detail if detail.startswith("internal:") else "singular")',
+     '        return _fail(err, 2, detail if detail.startswith("internal:") else "singular")',
+     ["tests/test_cli.py::test_inv_singular_diagnostic"]),
+    # _require_shared_base: sections over two different bases accepted
+    (BUNDLES,
+     "    if len(bases) != 1:\n",
+     "    if len(bases) > 2:\n",
+     ["tests/test_bundles.py::test_lift_requires_shared_base"]),
+]
+
+# What every forced side must pass: the oracles of the kernel and of the
+# products, the CLI transcript and the demo goldens.
+FORCED_RUN = [
+    "tests/test_chi_oracle.py",
+    "tests/test_elimination_oracle.py",
+    "tests/test_quasidet.py",
+    "tests/test_quasidet_identities.py",
+    "tests/test_rank_oracle.py",
+    "tests/test_matrix.py",
+    "tests/test_rank_solve.py",
+    "tests/test_cli_transcript.py",
+    "tests/test_demos.py",
+]
+
+FORCED_SIDES = [
+    # the pivot-norm rule: every echelon row stores its right sums
+    (QUASIDET,
+     "        wide = norm > _WIDE\n",
+     "        wide = True\n",
+     [REDUCE_CASES]),
+    # the pivot-norm rule: no echelon row stores its right sums
+    (QUASIDET,
+     "        wide = norm > _WIDE\n",
+     "        wide = False\n",
+     [REDUCE_CASES]),
+    # _reduce: the inline loop on every echelon row, stored sums or not
+    (QUASIDET,
+     "        if right is None:\n",
+     "        if True:\n",
+     []),
+    # the D_n rule: every factorization wide
+    (QUASIDET,
+     "    wide = det > _WIDE\n",
+     "    wide = True\n",
+     [BACK_SUBSTITUTION_CASES]),
+    # the D_n rule: no factorization wide
+    (QUASIDET,
+     "    wide = det > _WIDE\n",
+     "    wide = False\n",
+     [BACK_SUBSTITUTION_CASES]),
+    # the shape rule: _dot at every shape
+    (MATRIX,
+     "    if min(a.rows, a.cols, b.cols) < _SUMS_FROM:\n",
+     "    if True:\n",
+     [PINNED_PRODUCTS]),
+    # the shape rule: the sums form at every shape with a nonempty
+    # contraction, which the sums form needs
+    (MATRIX,
+     "    if min(a.rows, a.cols, b.cols) < _SUMS_FROM:\n",
+     "    if not a.cols:\n",
+     [PINNED_PRODUCTS]),
+    # _reduce: the division by the previous echelon denominator always takes
+    # the gcd path
+    (QUASIDET,
+     "                if rw or rx or ry or rz:\n                    common",
+     "                if True:\n                    common",
+     []),
+    # _factor: P_t's numerators each divided, even where den divides
+    # D_t * r_t^2
+    (QUASIDET,
+     "        if rest:\n            inverses.append(_quotient(",
+     "        if True:\n            inverses.append(_quotient(",
+     []),
+    # _integral_product: each numerator divided, even where the product is
+    # integral as it stands
+    (QUASIDET,
+     "    if not rest:\n        return s * w",
+     "    if False:\n        return s * w",
+     []),
 ]
 
 # Runs pytest in the child, then exits 99 unless skewlin came from the copy
@@ -302,7 +411,7 @@ def run_tests(file, old, new, tests):
     in ``file``; returns the child's exit status and output."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp).resolve()
-        for tree in ("src", "tests"):
+        for tree in ("src", "tests", "demos"):
             shutil.copytree(ROOT / tree, copy / tree,
                             ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
         shutil.copy(ROOT / "pyproject.toml", copy)
@@ -318,38 +427,70 @@ def run_tests(file, old, new, tests):
         return child.returncode, child.stdout + child.stderr
 
 
+def run_mutant(file, old, new, tests):
+    """Run a mutant; returns its verdict, "killed" when its ``tests`` fail,
+    and the run's output."""
+    status, output = run_tests(file, old, new, tests)
+    if status == PYTEST_TESTS_FAILED:
+        return "killed", output
+    return "survived" if status == 0 else f"error {status}", output
+
+
+def run_forced(file, old, new, pinned):
+    """Run a forced side; returns its verdict, "kept" when ``FORCED_RUN``
+    passes without the ``pinned`` tests and each of them fails, and the
+    output of the run that decided otherwise."""
+    deselected = [arg for test in pinned for arg in ("--deselect", test)]
+    status, output = run_tests(file, old, new, FORCED_RUN + deselected)
+    if status != 0:
+        return "changed" if status == PYTEST_TESTS_FAILED else f"error {status}", output
+    for test in pinned:
+        status, output = run_tests(file, old, new, [test])
+        if status != PYTEST_TESTS_FAILED:
+            return "unpinned" if status == 0 else f"error {status}", output
+    return "kept", ""
+
+
+def label(kind, number, file, old, new):
+    was, now = next((o, n) for o, n in zip(old.splitlines(), new.splitlines()) if o != n)
+    return f"{kind} {number} in {file}: {was.strip()} -> {now.strip()}"
+
+
 def main():
     failures = []
-    for number, (file, old, _, _) in enumerate(MUTANTS, 1):
-        count = (ROOT / file).read_text().count(old)
-        if count != 1:
-            failures.append(f"mutant {number}: old text occurs {count} times in {file}")
+    for kind, table in (("mutant", MUTANTS), ("forced side", FORCED_SIDES)):
+        for number, (file, old, _, _) in enumerate(table, 1):
+            count = (ROOT / file).read_text().count(old)
+            if count != 1:
+                failures.append(f"{kind} {number}: old text occurs {count} times in {file}")
     if failures:
         print("\n".join(failures))
         return 1
 
-    every_test = sorted({test for *_, tests in MUTANTS for test in tests})
-    status, output = run_tests(None, None, None, every_test)
+    every_test = {test for *_, tests in MUTANTS + FORCED_SIDES for test in tests}
+    status, output = run_tests(None, None, None, sorted(every_test.union(FORCED_RUN)))
     if status != 0:
         print(f"the unmutated tree fails its tests (exit {status}):\n{output}")
         return 1
 
-    for number, (file, old, new, tests) in enumerate(MUTANTS, 1):
-        start = time.perf_counter()
-        status, output = run_tests(file, old, new, tests)
-        changed = next(n for o, n in zip(old.splitlines(), new.splitlines()) if o != n)
-        label = f"mutant {number} in {file}: {changed.strip()}"
-        seconds = time.perf_counter() - start
-        if status == PYTEST_TESTS_FAILED:
-            print(f"killed    {label} ({seconds:.1f} s)")
-            continue
-        verdict = "survived" if status == 0 else f"error {status}"
-        print(f"{verdict:<9} {label} ({seconds:.1f} s)\n{output}")
-        failures.append(label)
+    for kind, table, run, passed in (("mutant", MUTANTS, run_mutant, "killed"),
+                                     ("forced side", FORCED_SIDES, run_forced, "kept")):
+        for number, (file, old, new, tests) in enumerate(table, 1):
+            start = time.perf_counter()
+            verdict, output = run(file, old, new, tests)
+            name = label(kind, number, file, old, new)
+            seconds = time.perf_counter() - start
+            if verdict == passed:
+                print(f"{verdict:<9} {name} ({seconds:.1f} s)")
+                continue
+            print(f"{verdict:<9} {name} ({seconds:.1f} s)\n{output}")
+            failures.append(name)
+
     if failures:
-        print(f"{len(failures)} of {len(MUTANTS)} mutants not killed")
+        print(f"{len(failures)} of {len(MUTANTS) + len(FORCED_SIDES)} entries failed the gate")
         return 1
-    print(f"all {len(MUTANTS)} mutants killed")
+    print(f"all {len(MUTANTS)} mutants killed, all {len(FORCED_SIDES)} forced sides kept "
+          "every value")
     return 0
 
 

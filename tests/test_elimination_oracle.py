@@ -908,8 +908,7 @@ def _straddling_systems(draw):
     """An n x n matrix of integer quaternions, n from 2 to 4, with entries
     of up to ``160 / n`` bits, and two right-hand sides as in ``_systems``.
     With ``_WIDE`` at 2^128, ``D_n`` passes it from about ``64 / n`` bits
-    per entry and the echelon rows' pivot norms from 16 to 64 bits, so the
-    draws fall on both sides of every fork that compares with ``_WIDE``."""
+    per entry and the echelon rows' pivot norms from 16 to 64 bits."""
     n = draw(st.integers(min_value=2, max_value=4))
     bound = 1 << draw(st.integers(min_value=1, max_value=160 // n))
     entries = st.builds(Quaternion, *[st.integers(min_value=-bound, max_value=bound)] * 4)

@@ -20,8 +20,8 @@ Entries are :func:`skewlin.sampling.random_quaternion` with components of
 numerators in ``-bound..bound`` over ``1..bound``.  With ``bound`` 2 the
 scaled rows' Study determinant ``D_n`` is at most ``(64 n)^n``, about
 2^115 at n = 12 by Hadamard's bound, so the back substitution keeps its
-multipliers as numerators; with ``bound`` 9 ``D_n`` passes ``_WIDE`` on
-nearly every draw, and they are stored as their right sums.
+multipliers as numerators; with ``bound`` 9 it may store them as their right
+sums.  ``tests/mutation_gate.py`` forces each side of that rule.
 """
 
 import random
