@@ -64,9 +64,6 @@ from .rank import (
 )
 from .spaces import (
     BasisModel,
-    apply_map,
-    compose_maps,
-    dualize,
     expand_in_basis,
     is_automorphism,
     is_independent,

@@ -160,13 +160,17 @@ class FiberOperation:
 
 
 def _transition_map(phi_a, phi_b):
-    """Per-point change of trivialization ``phi_b after inverse(phi_a)``."""
+    """Per-point change of trivialization ``phi_b after inverse(phi_a)``; a
+    dict applies by lookup, a :class:`Bijection` by call and ``inverse``."""
     if isinstance(phi_a, dict):
         inverse = {v: k for k, v in phi_a.items()}
         if len(inverse) != len(phi_a):
             raise ValueError("fiber map is not a bijection")
-        return lambda value: phi_b[inverse[value]]
-    return lambda value: phi_b(phi_a.inverse(value))
+        undo = inverse.__getitem__
+    else:
+        undo = phi_a.inverse
+    apply = phi_b.__getitem__ if isinstance(phi_b, dict) else phi_b
+    return lambda value: apply(undo(value))
 
 
 def check_transition(phi_a, phi_b, operations, samples=None):

@@ -330,9 +330,8 @@ def _integral_product(scale, q, p, divisor, wide, what):
     and ``divisor``, a quaternion ``q`` given as its numerators over a
     denominator, in lowest terms or not, and the numerators ``p`` of an
     integral quaternion, by ``_product`` where the factorization is
-    ``wide``.  When the denominator of ``q`` times ``divisor`` divides
-    ``scale`` the product is integral as it stands; otherwise each numerator
-    is divided by :func:`_quotient`."""
+    ``wide``.  Each numerator of ``scale`` times the product is divided by
+    the denominator of ``q`` times ``divisor`` in :func:`_quotient`."""
     a, b, c, d, den = q
     e, f, g, h = p
     den *= divisor
@@ -343,9 +342,6 @@ def _integral_product(scale, q, p, divisor, wide, what):
         x = a * f + b * e + c * h - d * g
         y = a * g - b * h + c * e + d * f
         z = a * h + b * g - c * f + d * e
-    s, rest = divmod(scale, den)
-    if not rest:
-        return s * w, s * x, s * y, s * z
     return _quotient(scale * w, scale * x, scale * y, scale * z, den, what)
 
 
@@ -358,13 +354,13 @@ def _complete(elimination, matrix):
         elimination.leads.append((_reduce(row, scale, elimination.echelon)[0], scale))
 
 
-def _factor(elimination, matrix):
-    """The integral factors ``L * E`` of the kept rows of ``elimination``,
-    the pass over ``matrix``, that :func:`_back_substitute` solves with, as
-    a ``_Factorization`` record: ``echelon`` is the pass's ``E``, and
-    ``row_scales``, ``dets``, ``inverses`` and ``below`` give ``L``.  It
-    first completes the pass's ``leads`` (:func:`_complete`), which the
-    solves for the dependent rows read.
+def _factor(elimination):
+    """The integral factors ``L * E`` of the kept rows of ``elimination``
+    that :func:`_back_substitute` solves with, as a ``_Factorization``
+    record: ``echelon`` is the pass's ``E``, and ``row_scales``, ``dets``,
+    ``inverses`` and ``below`` give ``L``.  It reads ``leads`` only for the
+    kept rows, which the pass reaches before any stop, and changes nothing
+    in ``elimination``.
 
     ``row_scales[t]`` is ``r_t``, the scale :func:`_eliminate_rows` recorded
     for kept row ``t``, the lcm of its denominators, so the rows ``r_t *
@@ -385,10 +381,12 @@ def _factor(elimination, matrix):
         D_{t+1} = D_t * r_t^2 * N(P) / den^2,
         P_t = D_{t+1} * pi_t^-1 = D_t * r_t^2 * conj(P) / den,
 
-    each an exact division, and ``inverses[t]`` holds the numerators of
-    ``P_t``: one quotient times ``conj(P)`` where ``den`` divides ``D_t *
-    r_t^2``, else each numerator divided.  ``below[j]`` lists ``(k, M_kj)``
-    with
+    each an exact division.  ``inverses[t]`` holds the numerators of ``P_t``
+    as ``s * conj(P) + rest * conj(P) / den``, with ``D_t * r_t^2 = s * den +
+    rest``: one division of ``D_t * r_t^2``, plus the checked division
+    (:func:`_quotient`) of a remainder term that is usually zero, costs less
+    than dividing the four longer numerators of ``D_t * r_t^2 * conj(P)``.
+    ``below[j]`` lists ``(k, M_kj)`` with
 
         M_kj = -r_k * lambda_kj * P_j = -r_k * D_{j+1} * mu_kj,
 
@@ -398,7 +396,6 @@ def _factor(elimination, matrix):
     once here rather than once per solve.  ``wide``, the one width decision
     ``D_n > _WIDE``, stores each ``M_kj`` as its eight ``_right_sums``.
     Every division is exact, and checked."""
-    _complete(elimination, matrix)
     kept, leads = elimination.kept, elimination.leads
     det = 1
     row_scales, dets, inverses = [], [], []
@@ -409,11 +406,9 @@ def _factor(elimination, matrix):
         if rest:
             raise SingularMatrixError("internal: a prefix Study determinant is not integral")
         s, rest = divmod(scaled, den)
-        if rest:
-            inverses.append(_quotient(scaled * a, -scaled * b, -scaled * c, -scaled * d, den,
-                                      "a scaled pivot inverse"))
-        else:
-            inverses.append((s * a, -s * b, -s * c, -s * d))
+        w, x, y, z = _quotient(rest * a, -rest * b, -rest * c, -rest * d, den,
+                               "a scaled pivot inverse")
+        inverses.append((s * a + w, x - s * b, y - s * c, z - s * d))
         row_scales.append(r)
         dets.append(det)
     wide = det > _WIDE
@@ -443,12 +438,12 @@ def _back_substitute(z, scale, factor):
         Y_j = (D * W_j + sum over k > j of Y_k * M_kj) / (r_j * D_{j+1}),
 
     one sum of integer products over ``D_{j+1}`` and one exact division per
-    unknown (for the last, ``Y_j = W_j / r_j``).  ``D * d`` is a common
-    denominator of the solution, so each entry ``y_j = r_j * Y_j / (D * d)``
-    is normalised with one gcd; the first unknown's sum, which no other
-    unknown needs, goes to that gcd undivided, over ``D_1 * D * d``.  Where
-    the factorization is ``wide``, each ``Y_k`` is kept as its left sums.
-    Every division is exact and checked."""
+    unknown (for the last, a lone one included, ``Y_j = W_j / r_j``).
+    ``D * d`` is a common denominator of the solution, so each entry ``y_j =
+    r_j * Y_j / (D * d)`` is normalised with one gcd; the first unknown's
+    sum, which no other unknown needs, goes to that gcd undivided, over
+    ``D_1 * D * d``.  Where the factorization is ``wide``, each ``Y_k`` is
+    kept as its left sums.  Every division is exact and checked."""
     row_scales, dets, inverses = factor.row_scales, factor.dets, factor.inverses
     below, wide = factor.below, factor.wide
     last = len(row_scales) - 1
@@ -465,15 +460,12 @@ def _back_substitute(z, scale, factor):
         if j < last:
             w = _integral_product(scale, value, inverses[j], 1, wide, "a scaled right-hand side")
             sums[j] = (top * w[0], top * w[1], top * w[2], top * w[3])
-        elif j:
+        else:
             r = row_scales[j]
             yw, yx, yy, yz = _integral_product(
                 scale, value, inverses[j], r, wide, "a back-substituted unknown")
             y[j] = _build(r * yw, r * yx, r * yy, r * yz, den)
             integral[j] = _left_sums(yw, yx, yy, yz) if wide else (yw, yx, yy, yz)
-        else:
-            w = _integral_product(scale, value, inverses[j], 1, wide, "a scaled right-hand side")
-            y[j] = _build(*w, den)
     for j in reversed(range(last)):
         sw, sx, sy, sz = sums[j] or _NIL
         if wide:
@@ -534,7 +526,7 @@ def solve_nonsingular(a, b):
     elimination = _eliminate_rows(a)
     if len(elimination.kept) < a.rows:
         raise SingularMatrixError(f"matrix {a} is singular")
-    factor = _factor(elimination, a)
+    factor = _factor(elimination)
     if b.cols != a.rows:
         raise DimensionMismatch(f"rc product needs {b.shape} x {a.shape} inner match")
     return Matrix([_solve_row(row, factor) for row in b.cells], cols=a.rows)

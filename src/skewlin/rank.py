@@ -31,8 +31,8 @@ forms an inverse:
   the row's entries on the minor's columns;
 * :func:`solve_general` solves ``x * A = b`` for any ``A``.  A dependent
   row's homogeneous basis row is its unit row minus the back substitution
-  of its own multipliers; ``quasidet._complete`` reduces the rows after
-  the pass's stop against the final echelon rows for theirs.
+  of its own multipliers; it calls ``quasidet._complete``, which reduces
+  the rows after the pass's stop against the final echelon rows for theirs.
 
 All index sets are 1-based and refer to the matrix's own display grid.
 """
@@ -41,7 +41,14 @@ from collections import namedtuple
 
 from .errors import DimensionMismatch, InvalidRowError, SingularMatrixError
 from .matrix import Matrix, _Frozen, rc_product
-from .quasidet import _back_substitute, _eliminate_rows, _factor, _solve_row, solve_nonsingular
+from .quasidet import (
+    _back_substitute,
+    _complete,
+    _eliminate_rows,
+    _factor,
+    _solve_row,
+    solve_nonsingular,
+)
 from .quaternion import Quaternion
 
 
@@ -146,7 +153,8 @@ def solve_general(a, b):
             f"right-hand side must be 1 x {a.cols}, got {b.shape}"
         )
     elimination = _eliminate_rows(a)
-    factor = _factor(elimination, a)  # which completes elimination.leads
+    _complete(elimination, a)
+    factor = _factor(elimination)
     kept, leads = elimination.kept, elimination.leads
     independent = set(kept)
     dependent = [p for p in range(a.rows) if p not in independent]

@@ -4,29 +4,24 @@ Vectors are coordinate rows relative to an ambient standard basis, and a
 linear map is identified with its matrix relative to chosen bases (the
 commuting square ``expand then multiply == apply then expand`` makes the
 identification sound).  Only the left-scalar row convention is implemented
-natively; the other three notational models are reached through ``dualize``
-(the transpose duality functor) and mirrored evaluation order.
+natively; the other three notational models are reached through
+:func:`transpose` (the duality functor) and mirrored evaluation order.
 
-A basis is valid exactly when ``is_independent(basis.matrix)``.  Four names
-here are aliases that read a matrix operation as an operation on maps:
-
-* ``apply_map(a, h)`` is :func:`rc_product`: the image of the coordinate
-  row ``a`` under the map with matrix ``h``;
-* ``compose_maps(a, b)`` is :func:`rc_product`: the matrix of ``apply b
-  after apply a``, so associativity of the product is commutativity of the
-  composition diagram;
-* ``is_automorphism(h)`` is :func:`is_rc_nonsingular`: ``h`` presents an
-  invertible self-map, square and nonsingular; such matrices form a group
-  under the product;
-* ``dualize(a)`` is :func:`transpose`, the duality functor on
-  presentations.  Any identity verified in the native model verifies in the
-  mirrored model with the two products exchanged; applying it twice is the
-  identity.
+A basis is valid exactly when ``is_independent(basis.matrix)``.  The
+matrix operations read as operations on maps: :func:`rc_product` applies the
+map with matrix ``h`` to the coordinate row ``a`` as ``rc_product(a, h)``
+and composes ``apply b after apply a`` as ``rc_product(a, b)``, so
+associativity of the product is commutativity of the composition diagram.
+Any identity verified in the native model verifies in the mirrored model
+with the two products exchanged, and transposing twice is the identity.
+``is_automorphism(h)`` is :func:`is_rc_nonsingular`: ``h`` presents an
+invertible self-map, square and nonsingular; such matrices form a group
+under the product.
 """
 
 from collections import namedtuple
 
-from .matrix import _Frozen, rc_product, transpose
+from .matrix import _Frozen
 from .quasidet import is_rc_nonsingular, solve_nonsingular
 from .rank import rc_rank
 
@@ -53,6 +48,4 @@ def is_independent(vectors):
     return rc_rank(vectors).rank == vectors.rows
 
 
-apply_map = compose_maps = rc_product
 is_automorphism = is_rc_nonsingular
-dualize = transpose

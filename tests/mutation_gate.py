@@ -14,9 +14,12 @@ one of its sides, which gives the same values as the other: on the copy the
 oracles, the CLI transcript and the demo goldens of ``FORCED_RUN`` must
 pass, the entry's named tests left out, and each named test, which pins the
 form that its examples take, must fail.  A side that no test pins names
-none.  ``_back_substitute``'s first- and last-unknown shortcuts are not
-forced: the last unknown must still fill ``integral``, which the earlier
-unknowns read, so no single patch takes them off.
+none.  A kept side is the proof that the fork can go: a change that deletes
+the fork keeps that side's path, drops both entries, and moves the mutants
+of the deleted text to the path that remains.  ``_back_substitute``'s
+first- and last-unknown shortcuts are not forced: the last unknown must
+still fill ``integral``, which the earlier unknowns read, so no single
+patch takes them off.
 
 The script exits 1 when a mutant survives (its tests pass), when a forced
 side fails a test of ``FORCED_RUN`` or passes a named test, when an old
@@ -192,10 +195,10 @@ MUTANTS = [
      "    if rw or rx or ry or rz:\n        raise",
      "    if False:\n        raise",
      [TEST_QUASIDET + "test_unknown_division_is_checked"]),
-    # _integral_product: the short path drops a sign
+    # _integral_product: one sign of the scaled product
     (QUASIDET,
-     "        return s * w, s * x, s * y, s * z",
-     "        return s * w, s * x, s * y, -s * z",
+     "    return _quotient(scale * w, scale * x, scale * y, scale * z, den, what)",
+     "    return _quotient(scale * w, scale * x, scale * y, -scale * z, den, what)",
      [TEST_ORACLE + "test_integer_back_substitution_matches_rational"]),
     # _complete: a row past the pass's stop loses its scale
     (QUASIDET,
@@ -221,15 +224,21 @@ MUTANTS = [
      "wide = det > _WIDE",
      "wide = det >= _WIDE",
      [BACK_SUBSTITUTION_CASES]),
-    # _factor: one sign of conj(P) in P_t
+    # _factor: one sign of conj(P) in P_t's quotient term
     (QUASIDET,
-     "            inverses.append((s * a, -s * b, -s * c, -s * d))",
-     "            inverses.append((s * a, -s * b, s * c, -s * d))",
+     "        inverses.append((s * a + w, x - s * b, y - s * c, z - s * d))",
+     "        inverses.append((s * a + w, x - s * b, y + s * c, z - s * d))",
      [TEST_QUASIDET + "test_uncorrupted_factor_solves"]),
-    # _factor: P_t's division no longer checked, its quotient floored
+    # _factor: one sign of conj(P) in P_t's remainder term, which is nonzero
+    # on few pivots
     (QUASIDET,
-     "        if rest:\n            inverses.append(_quotient(",
-     "        if False:\n            inverses.append(_quotient(",
+     "        w, x, y, z = _quotient(rest * a, -rest * b, -rest * c, -rest * d, den,",
+     "        w, x, y, z = _quotient(rest * a, -rest * b, rest * c, -rest * d, den,",
+     [TEST_ORACLE + "test_back_substitution_above_oracle_sizes[11]"]),
+    # _factor: P_t's division no longer checked, its quotients floored
+    (QUASIDET,
+     "        w, x, y, z = _quotient(rest * a,",
+     "        w, x, y, z = (lambda *n: [v // n[4] for v in n[:4]])(rest * a,",
      [TEST_QUASIDET + "test_pivot_inverse_division_is_checked"]),
     # _back_substitute: one sign in the narrow sum
     (QUASIDET,
@@ -278,6 +287,13 @@ MUTANTS = [
      "            if action[row[g]] != tuple([phi_a[m] for m in phi_g]):",
      "            if action[row[g]] != tuple([phi_g[m] for m in phi_a]):",
      ["tests/test_representation_oracle.py::test_generator_check_of_a_representation_matches_all_pairs"]),
+    # solve_general: the rows after the pass's stop left without their
+    # multipliers
+    (RANK,
+     "    _complete(elimination, a)\n",
+     "    pass\n",
+     [TEST_ORACLE + "test_back_substitution_above_oracle_sizes[7]",
+      TEST_CHI + "test_solve_general_matches_chi_oracle"]),
     # solve_general: the particular solution is no longer checked
     (RANK,
      "    if rc_product(particular, a) != b:\n",
@@ -376,18 +392,6 @@ FORCED_SIDES = [
     (QUASIDET,
      "                if rw or rx or ry or rz:\n                    common",
      "                if True:\n                    common",
-     []),
-    # _factor: P_t's numerators each divided, even where den divides
-    # D_t * r_t^2
-    (QUASIDET,
-     "        if rest:\n            inverses.append(_quotient(",
-     "        if True:\n            inverses.append(_quotient(",
-     []),
-    # _integral_product: each numerator divided, even where the product is
-    # integral as it stands
-    (QUASIDET,
-     "    if not rest:\n        return s * w",
-     "    if False:\n        return s * w",
      []),
 ]
 

@@ -18,7 +18,6 @@ from skewlin import (
     cr_quasideterminant,
     cr_rank,
     decompose_morphism,
-    dualize,
     extended_matrix,
     parse_matrix,
     parse_quaternion,
@@ -30,6 +29,7 @@ from skewlin import (
     reduced_action,
     rotation_representation,
     solve_general,
+    transpose,
     validate_representation,
     RepMorphism,
 )
@@ -227,7 +227,7 @@ def test_criterion_08_duality_200():
             dual = rc_product(left.transpose(), right.transpose())
             assert cr_product(left, right) == dual.transpose()
             rect = random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), bound=4)
-            assert dualize(dualize(rect)) == rect
+            assert transpose(transpose(rect)) == rect
 
 
 def test_criterion_09_representation_decomposition():

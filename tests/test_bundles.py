@@ -279,6 +279,36 @@ def test_transition_shift_breaks_quaternion_multiplication(rng):
     assert not check_transition(phi_a, phi_b, [multiply], samples=samples)
 
 
+# On Z/3: x -> 2x, which is its own inverse, as a dict and as a Bijection, and
+# x -> x + 1 as a Bijection
+_DOUBLING = {0: 0, 1: 2, 2: 1}
+_DOUBLING_MAP = Bijection(lambda v: 2 * v % 3, lambda v: 2 * v % 3)
+_SHIFT_MAP = Bijection(lambda v: (v + 1) % 3, lambda v: (v - 1) % 3)
+_ADDITION_MOD3 = FiberOperation(2, lambda a, b: (a + b) % 3)
+
+
+@pytest.mark.parametrize("samples", [None, (0, 1, 2)])
+def test_transition_from_a_dict_to_a_bijection(samples):
+    phi_a = Section(BASE3, [dict(_DOUBLING)] * 3)
+    # x -> 2 * 2x is the identity; x -> 2x + 1 breaks addition
+    assert check_transition(phi_a, constant_section(BASE3, _DOUBLING_MAP), [_ADDITION_MOD3],
+                            samples=samples)
+    assert not check_transition(phi_a, constant_section(BASE3, _SHIFT_MAP), [_ADDITION_MOD3],
+                                samples=samples)
+
+
+def test_transition_from_a_bijection_to_a_dict():
+    phi_b = Section(BASE3, [dict(_DOUBLING)] * 3)
+    samples = (0, 1, 2)
+    # x -> 2 * 2x is the identity; x -> 2(x - 1) breaks addition
+    assert check_transition(constant_section(BASE3, _DOUBLING_MAP), phi_b, [_ADDITION_MOD3],
+                            samples=samples)
+    assert not check_transition(constant_section(BASE3, _SHIFT_MAP), phi_b, [_ADDITION_MOD3],
+                                samples=samples)
+    # a Bijection's domain cannot be enumerated
+    with pytest.raises(ValueError, match="exhaustive check needs dict-valued fiber maps"):
+        check_transition(constant_section(BASE3, _DOUBLING_MAP), phi_b, [_ADDITION_MOD3])
+
 def test_section_json_roundtrip(rng):
     scalars = random_scalar_section(rng, BASE3)
     assert section_from_json(section_to_json(scalars)) == scalars

@@ -8,7 +8,9 @@ block matrix ``chi(A)`` over the field ``Q(i)`` has
 * rank ``2 * rank(A)``;
 * rows in which the prefix rank rises by 2 exactly at the rows of ``A``'s
   major minor, and columns in which it rises by 2 exactly at its columns;
-* the inverse ``chi(A^-1)`` whenever ``A`` is invertible.
+* the inverse ``chi(A^-1)`` whenever ``A`` is invertible;
+* for a row ``b``, a solution of ``x * A = b`` exactly when ``chi(A)`` and
+  ``chi(A)`` with ``chi(b)`` appended have the same rank.
 
 Since ``det chi(q) = N(q)`` for a quaternion ``q``, ``det chi`` of a square
 quaternion matrix is its Study determinant.  Scaled by their
@@ -20,11 +22,12 @@ the prefix Study determinant ``dets[t]`` of ``quasidet._factor``.
 The oracle computes these by Gaussian elimination over ``Q(i)``, written
 here with ``Fraction`` pairs.  It shares no code with ``skewlin.quasidet``:
 it reads the quaternions' components, and calls the library only for the
-``rc_rank`` and ``rc_inverse`` it checks, and for the elimination and
-factorization records whose kept rows, pivot columns, row scales and
-prefix determinants it reads.  The brute-force oracles stop at 5 x 5; this
-one checks the forward pass and the factorization at n = 6, 8 and 12, at
-full rank and at half rank.
+``rc_rank``, ``rc_inverse`` and ``solve_general`` it checks, and for the
+elimination and factorization records whose kept rows, pivot columns, row
+scales and prefix determinants it reads.  The brute-force oracles stop at
+5 x 5; this one checks the forward pass and the factorization at n = 6, 8
+and 12, at full rank and at half rank, and the general solver on tall and
+wide shapes up to 12 x 8.
 """
 
 import random
@@ -33,7 +36,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from skewlin import Matrix, Quaternion, SingularMatrixError, quasidet, rc_inverse, rc_rank
+from skewlin import (
+    Matrix,
+    Quaternion,
+    SingularMatrixError,
+    quasidet,
+    rc_inverse,
+    rc_rank,
+    solve_general,
+)
 
 ZERO = (Fraction(0), Fraction(0))
 ONE = (Fraction(1), Fraction(0))
@@ -191,7 +202,7 @@ def test_kernel_matches_chi_oracle(n, kind, seed):
 def test_prefix_study_determinants_match_chi_oracle(n, kind, seed):
     a = _case(n, kind, seed)
     elimination = quasidet._eliminate_rows(a)
-    factor = quasidet._factor(elimination, a)
+    factor = quasidet._factor(elimination)
     column = {t: pivot for pivot, _, t, *_ in factor.echelon}
     scales = [r for r in factor.row_scales for _ in (0, 1)]  # two rows of chi per row
     for t, det in enumerate(factor.dets):
@@ -200,3 +211,35 @@ def test_prefix_study_determinants_match_chi_oracle(n, kind, seed):
                        cols=t + 1)
         scaled = [[(r * re, r * im) for re, im in row] for row, r in zip(chi(block), scales)]
         assert determinant(scaled) == (det, 0)
+
+
+def _rectangular_case(m, n, seed):
+    """An m x n matrix of rank m / 2, a product through that inner dimension,
+    and two right-hand sides: a left combination of its rows and a fresh
+    row.  Where m is twice n the rank is n, so the elimination pass stops
+    halfway down and every row is in the row span."""
+    rng = random.Random(seed)
+    r = m // 2
+    a = _product(_matrix(rng, m, r), _matrix(rng, r, n))
+    combination = _product(_matrix(rng, 1, m), a)[0]
+    return Matrix(a, cols=n), [Matrix.row(combination), Matrix.row(_matrix(rng, 1, n)[0])]
+
+
+@pytest.mark.parametrize("m,n", [(8, 6), (12, 8), (12, 6), (6, 8)])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=1, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+def test_solve_general_matches_chi_oracle(m, n, seed):
+    a, rows = _rectangular_case(m, n, seed)
+    zero = [[Quaternion.zero()] * n]
+    for b in rows:
+        ranks, _ = gauss_jordan(chi(a) + chi(b))
+        rank = ranks[2 * m - 1]
+        solution = solve_general(a, b)
+        assert solution.consistent == (rank == ranks[-1])
+        assert 2 * (m - len(solution.homogeneous_basis)) == rank
+        for row in solution.homogeneous_basis:
+            assert _product(row.cells, a.cells) == zero
+        if solution.consistent:
+            assert _product(solution.particular.cells, a.cells) == [list(b.cells[0])]
+        else:
+            assert solution.particular is None

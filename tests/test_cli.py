@@ -106,7 +106,7 @@ def test_kernel_self_check_failure_is_not_reported_as_singular(monkeypatch):
     monkeypatch.setattr(skewlin.quasidet, "_quotient", failing_quotient)
     status, out, err = invoke(["inv", "[1, i, 0; j, 2, k; 1/2, 1, 3]"])
     assert (status, out) == (1, "")
-    assert err == "error: internal: a back-substituted unknown is not integral\n"
+    assert err == "error: internal: a scaled pivot inverse is not integral\n"
 
 
 def test_particular_solution_self_check_failure_is_internal(monkeypatch):

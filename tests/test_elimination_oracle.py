@@ -898,7 +898,7 @@ def test_back_substitution_examples_reach_their_cases():
     ``_factor`` keeps each multiplier as its four numerators up to ``D_n =
     _WIDE`` and as its eight right sums past it."""
     for (a, _, _), det, width in ((_AT_WIDE, _WIDE, 4), (_PAST_WIDE, _WIDE + 1, 8)):
-        factor = _factor(_eliminate_rows(a), a)
+        factor = _factor(_eliminate_rows(a))
         assert factor.dets[-1] == det
         assert {len(m) for column in factor.below for _, m in column} == {width}
 

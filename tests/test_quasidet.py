@@ -267,7 +267,7 @@ def _over_prime(value):
 
 def test_uncorrupted_factor_solves():
     a, elimination, entries, z, scale = _system(1)
-    factor = quasidet._factor(elimination, a)
+    factor = quasidet._factor(elimination)
     x = Matrix.row(quasidet._back_substitute(z, scale, factor))
     assert rc_product(x, a) == Matrix.row(entries)
 
@@ -278,18 +278,18 @@ def test_prefix_determinant_division_is_checked():
     pivots = elimination.pivots
     elimination = elimination._replace(pivots=pivots[:1] + [_over_prime(pivots[1])] + pivots[2:])
     _raises_internal("a prefix Study determinant",
-                     lambda: quasidet._factor(elimination, a))
+                     lambda: quasidet._factor(elimination))
 
 
 def test_pivot_inverse_division_is_checked():
     # P times 3 + 4i over 5 den keeps N(P) / den^2, so D_2 is still
     # integral, but P_1 = D_1 * r_1^2 * conj(P) / den is not
-    matrix, elimination, _, _, _ = _system(2)
+    _, elimination, _, _, _ = _system(2)
     pivots = elimination.pivots
     a, b, c, d, den = pivots[1]
     pivots = pivots[:1] + [(*_product(a, b, c, d, 3, 4, 0, 0), den * 5)] + pivots[2:]
     _raises_internal("a scaled pivot inverse",
-                     lambda: quasidet._factor(elimination._replace(pivots=pivots), matrix))
+                     lambda: quasidet._factor(elimination._replace(pivots=pivots)))
 
 
 def test_multiplier_division_is_checked():
@@ -299,12 +299,12 @@ def test_multiplier_division_is_checked():
     ((j, lead), *rest), scale = leads[second]
     leads[second] = ([(j, _over_prime(lead))] + rest, scale)
     _raises_internal("a scaled multiplier",
-                     lambda: quasidet._factor(elimination._replace(leads=leads), a))
+                     lambda: quasidet._factor(elimination._replace(leads=leads)))
 
 
 def test_right_hand_side_division_is_checked():
     a, elimination, _, z, scale = _system(4)
-    factor = quasidet._factor(elimination, a)
+    factor = quasidet._factor(elimination)
     (j, value), *rest = sorted(z, key=lambda pair: pair[0])
     assert j < a.rows - 1
     z = [(j, _over_prime(value))] + rest
@@ -315,7 +315,7 @@ def test_right_hand_side_division_is_checked():
 @pytest.mark.parametrize("corrupt", ["inner determinant", "last row scale"])
 def test_unknown_division_is_checked(corrupt):
     a, elimination, _, z, scale = _system(5)
-    factor = quasidet._factor(elimination, a)
+    factor = quasidet._factor(elimination)
     dets, row_scales = factor.dets, factor.row_scales
     if corrupt == "inner determinant":
         # the middle unknown's sum is divided by r_1 * (D_2 + 1)
