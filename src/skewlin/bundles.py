@@ -178,7 +178,8 @@ def check_transition(phi_a, phi_b, operations, samples=None):
     operations: ``f(op(e1, ..., en)) == op(f(e1), ..., f(en))``.
 
     With dict-valued trivializations the check is exhaustive over the finite
-    fibers; otherwise ``samples`` must supply fiber elements and all tuples
+    fibers, the values of ``phi_a``'s dicts, which the transition maps take;
+    otherwise ``samples`` must supply fiber elements and all tuples
     drawn from them are checked.  Returns False at the first violation.
     """
     base = _require_shared_base([phi_a, phi_b])
@@ -188,7 +189,7 @@ def check_transition(phi_a, phi_b, operations, samples=None):
         if samples is None:
             if not isinstance(fa, dict):
                 raise ValueError("exhaustive check needs dict-valued fiber maps")
-            elements = tuple(fa.keys())
+            elements = tuple(fa.values())
         else:
             elements = tuple(samples)
         for op in operations:

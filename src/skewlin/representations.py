@@ -19,13 +19,17 @@ The richer general-algebra notion (arbitrary operation signature) is
 restricted to monoids: one binary operation and a unit suffice for every
 statement exercised here, and finite tables keep all checks decidable.
 
-Rows are built as ``tuple([...])``, at their exact size.  CPython allocates
-a tuple built from a generator at ten entries and resizes it, so a row of 11
-to 19 entries is freed onto the tuple free list of its final size, which
-such builds never draw from again; the lists grow until a full collection.
+Transformations compose through :func:`_reader`, one ``operator.itemgetter``
+call per composite, which builds the resulting row as a tuple of its exact
+size.  Rows built another way are ``tuple([...])``, also at their exact size:
+CPython allocates a tuple built from a generator at ten entries and resizes
+it, so a row of 11 to 19 entries is freed onto the tuple free list of its
+final size, which such builds never draw from again; the lists grow until a
+full collection.
 """
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import IllDefinedQuotientError, InvalidMorphismError, InvalidRepresentationError
 
@@ -48,9 +52,9 @@ class FiniteMonoid:
         table = tuple([tuple(row) for row in self.table])
         object.__setattr__(self, "table", table)
         n = len(table)
-        if any(len(row) != n for row in table):
+        if not {n}.issuperset(map(len, table)):
             raise ValueError("multiplication table must be square")
-        if n and (min(map(min, table)) < 0 or max(map(max, table)) >= n):
+        if not _indices_below(table, n):
             raise ValueError("table entries must index elements")
         if not 0 <= self.unit < n:
             raise ValueError("unit must index an element")
@@ -72,6 +76,26 @@ class FiniteMonoid:
         return len(self.table)
 
 
+def _reader(points):
+    """The function ``seq -> tuple(seq[p] for p in points)`` as one C call:
+    ``seq`` after ``points`` when both are transformations.  ``itemgetter``
+    returns a bare item for one point and takes no empty selection, so those
+    two sizes are read here."""
+    if len(points) > 1:
+        return itemgetter(*points)
+    if points:
+        (point,) = points
+        return lambda seq: (seq[point],)
+    return lambda seq: ()
+
+
+def _indices_below(rows, bound):
+    """True iff every entry of ``rows`` lies in ``range(bound)``.  The bounds
+    are read off the distinct entries, which a table of indices repeats."""
+    values = set().union(*rows)
+    return not values or (min(values) >= 0 and max(values) < bound)
+
+
 def _generators(table, unit):
     """Greedy generating set: each element that the generators so far do not
     reach from ``unit`` by right multiplication becomes the next generator."""
@@ -81,13 +105,13 @@ def _generators(table, unit):
         if x in reached:
             continue
         generators.append(x)
+        successors = _reader(generators)
         pending = [table[a][x] for a in reached]
         while pending:
             a = pending.pop()
             if a not in reached:
                 reached.add(a)
-                row = table[a]
-                pending.extend([row[g] for g in generators])
+                pending.extend(successors(table[a]))
     return tuple(generators)
 
 
@@ -95,9 +119,9 @@ def _obeys_product_law(table, action, generators):
     """True iff ``action[a*g] == action[a] o action[g]`` for every element
     ``a`` and every generator ``g``."""
     for g in generators:
-        phi_g = action[g]
+        after_g = _reader(action[g])
         for row, phi_a in zip(table, action):
-            if action[row[g]] != tuple([phi_a[m] for m in phi_g]):
+            if action[row[g]] != after_g(phi_a):
                 return False
     return True
 
@@ -132,9 +156,9 @@ class FiniteRepresentation:
         object.__setattr__(self, "action", action)
         if len(action) != self.algebra.size:
             raise ValueError("need one transformation per algebra element")
-        for m in action:
-            if len(m) != self.carrier or (m and (min(m) < 0 or max(m) >= self.carrier)):
-                raise ValueError("transformations must be total maps of the carrier")
+        carrier = self.carrier
+        if not {carrier}.issuperset(map(len, action)) or not _indices_below(action, carrier):
+            raise ValueError("transformations must be total maps of the carrier")
 
 
 def rotation_representation(n):
@@ -195,13 +219,9 @@ class RepMorphism:
         big_r = tuple(self.carrier_map)
         object.__setattr__(self, "algebra_map", r)
         object.__setattr__(self, "carrier_map", big_r)
-        if len(r) != self.source.algebra.size or any(
-            not 0 <= v < self.target.algebra.size for v in r
-        ):
+        if len(r) != self.source.algebra.size or not _indices_below([r], self.target.algebra.size):
             raise ValueError("algebra map must be total into the target algebra")
-        if len(big_r) != self.source.carrier or any(
-            not 0 <= v < self.target.carrier for v in big_r
-        ):
+        if len(big_r) != self.source.carrier or not _indices_below([big_r], self.target.carrier):
             raise ValueError("carrier map must be total into the target carrier")
 
 
@@ -230,12 +250,12 @@ def _preserves_structure(morphism):
     source, target = f.algebra.table, g.algebra.table
     if r[f.algebra.unit] != g.algebra.unit:
         return False
+    after_r, after_big_r = _reader(r), _reader(big_r)
     for x in f.algebra.generators:
         rx = r[x]
-        if any(r[row[x]] != target[r[a]][rx] for a, row in enumerate(source)):
+        if _reader([row[x] for row in source])(r) != after_r([row[rx] for row in target]):
             return False
-        psi = g.action[rx]
-        if [big_r[m] for m in f.action[x]] != [psi[v] for v in big_r]:
+        if _reader(f.action[x])(big_r) != after_big_r(g.action[rx]):
             return False
     return True
 
@@ -250,8 +270,8 @@ def compose_morphisms(first, second):
     return RepMorphism(
         first.source,
         second.target,
-        tuple([second.algebra_map[v] for v in first.algebra_map]),
-        tuple([second.carrier_map[v] for v in first.carrier_map]),
+        _reader(first.algebra_map)(second.algebra_map),
+        _reader(first.carrier_map)(second.carrier_map),
     )
 
 
@@ -289,6 +309,28 @@ def _partition_by_image(values, size):
         for x in members:
             index_of[x] = ci
     return tuple([tuple(m) for m in classes]), tuple(index_of)
+
+
+def _check_quotient(action, algebra_classes, carrier_classes, projection):
+    """Raise :class:`IllDefinedQuotientError` unless ``projection o action[a]``
+    is constant on every carrier class and agrees across every algebra
+    class.  ``projection`` numbers the carrier classes, so one projected row
+    per algebra class is compared with itself read at each point's least
+    class member; a failing class is scanned pair by pair for the message,
+    which names its first scattering carrier class."""
+    at_least = _reader([carrier_classes[c][0] for c in projection])
+    projected = [_reader(row)(projection) for row in action]
+    for members_a in algebra_classes:
+        rows = {projected[a] for a in members_a}
+        row = projected[members_a[0]]
+        if len(rows) == 1 and at_least(row) == row:
+            continue
+        for members_m in carrier_classes:
+            images = {row[m] for row in rows for m in members_m}
+            if len(images) != 1:
+                raise IllDefinedQuotientError(
+                    f"classes {members_a} x {members_m} scatter across {sorted(images)}"
+                )
 
 
 @dataclass(frozen=True)
@@ -336,13 +378,14 @@ def _induced(rep, algebra_points, carrier_points, algebra_label, carrier_label):
     takes one representative per class labelled by its class, the image the
     image points labelled by their position."""
     table, action = rep.algebra.table, rep.action
+    at_algebra_points, at_carrier_points = _reader(algebra_points), _reader(carrier_points)
     return FiniteRepresentation(
         FiniteMonoid(
-            [[algebra_label[table[a][b]] for b in algebra_points] for a in algebra_points],
+            [_reader(at_algebra_points(table[a]))(algebra_label) for a in algebra_points],
             algebra_label[rep.algebra.unit],
         ),
         len(carrier_points),
-        [[carrier_label[action[a][m]] for m in carrier_points] for a in algebra_points],
+        [_reader(at_carrier_points(action[a]))(carrier_label) for a in algebra_points],
     )
 
 
@@ -352,8 +395,9 @@ def decompose_morphism(morphism):
     Raises :class:`InvalidRepresentationError` when the source or the target
     is not a representation and :class:`InvalidMorphismError` when the maps
     break the morphism laws.  The quotient action ``F(j(a))(J(m)) = J(f(a)m)``
-    is checked to be well defined over entire classes before it is built
-    (:class:`IllDefinedQuotientError` guards the impossible failure).
+    is checked to be well defined before it is built, once per algebra class
+    (:func:`_check_quotient`; :class:`IllDefinedQuotientError` guards the
+    impossible failure).
     """
     f, g = morphism.source, morphism.target
     if not (validate_representation(f) and validate_representation(g)):
@@ -365,18 +409,7 @@ def decompose_morphism(morphism):
     algebra_classes, j = _partition_by_image(r, f.algebra.size)
     carrier_classes, big_j = _partition_by_image(big_r, f.carrier)
 
-    # The action must be constant on classes in both arguments at once.  Each
-    # row is projected onto the carrier classes once, and the equal projected
-    # rows of an algebra class are read once.
-    projected = [tuple(map(big_j.__getitem__, row)) for row in f.action]
-    for members_a in algebra_classes:
-        rows = {projected[a] for a in members_a}
-        for members_m in carrier_classes:
-            images = {row[m] for row in rows for m in members_m}
-            if len(images) != 1:
-                raise IllDefinedQuotientError(
-                    f"classes {members_a} x {members_m} scatter across {sorted(images)}"
-                )
+    _check_quotient(f.action, algebra_classes, carrier_classes, big_j)
 
     quotient = _induced(
         f, [ca[0] for ca in algebra_classes], [cm[0] for cm in carrier_classes], j, big_j

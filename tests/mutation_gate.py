@@ -55,6 +55,7 @@ TEST_ORACLE = "tests/test_elimination_oracle.py::"
 TEST_QUASIDET = "tests/test_quasidet.py::"
 TEST_CHI = "tests/test_chi_oracle.py::"
 TEST_VALUES = "tests/test_value_types.py::"
+TEST_REPRESENTATION_ORACLE = "tests/test_representation_oracle.py::"
 
 # the tests that pin which form their examples take
 REDUCE_CASES = TEST_QUASIDET + "test_reduce_examples_reach_their_cases"
@@ -284,9 +285,26 @@ MUTANTS = [
      [TEST_QUATERNION + "test_canonical_printing"]),
     # _obeys_product_law: the composition taken in the other order
     (REPRESENTATIONS,
-     "            if action[row[g]] != tuple([phi_a[m] for m in phi_g]):",
-     "            if action[row[g]] != tuple([phi_g[m] for m in phi_a]):",
-     ["tests/test_representation_oracle.py::test_generator_check_of_a_representation_matches_all_pairs"]),
+     "            if action[row[g]] != after_g(phi_a):",
+     "            if action[row[g]] != _reader(phi_a)(action[g]):",
+     [TEST_REPRESENTATION_ORACLE + "test_generator_check_of_a_representation_matches_all_pairs"]),
+    # _reader: one point read as the bare item, not a 1-tuple
+    (REPRESENTATIONS,
+     "        return lambda seq: (seq[point],)",
+     "        return lambda seq: seq[point]",
+     [TEST_REPRESENTATION_ORACLE + "test_reader_reads_a_tuple_at_each_point[one]"]),
+    # _check_quotient: an algebra class with two projected rows accepted
+    (REPRESENTATIONS,
+     "        if len(rows) == 1 and at_least(row) == row:",
+     "        if len(rows) >= 1 and at_least(row) == row:",
+     [TEST_REPRESENTATION_ORACLE
+      + "test_quotient_check_raises_exactly_where_the_pairwise_scan_scatters"]),
+    # _indices_below: an entry equal to the bound accepted, so a
+    # transformation may send a point to the carrier's size
+    (REPRESENTATIONS,
+     "    return not values or (min(values) >= 0 and max(values) < bound)",
+     "    return not values or (min(values) >= 0 and max(values) <= bound)",
+     ["tests/test_cli.py::test_repr_decompose_out_of_range_is_input_error[action-entry]"]),
     # solve_general: the rows after the pass's stop left without their
     # multipliers
     (RANK,

@@ -309,6 +309,16 @@ def test_transition_from_a_bijection_to_a_dict():
     with pytest.raises(ValueError, match="exhaustive check needs dict-valued fiber maps"):
         check_transition(constant_section(BASE3, _DOUBLING_MAP), phi_b, [_ADDITION_MOD3])
 
+
+def test_exhaustive_transition_check_takes_the_fiber_values():
+    # the transition maps take the values of phi_a's dicts, not its keys
+    labels = Section(BASE3, [{0: "a", 1: "b"}] * 3)
+    swapped = Section(BASE3, [{0: "b", 1: "a"}] * 3)
+    larger = FiberOperation(2, max)
+    assert check_transition(labels, labels, [larger])
+    # a -> b, b -> a: max(a, b) = b goes to a, but max(b, a) = b
+    assert not check_transition(labels, swapped, [larger])
+
 def test_section_json_roundtrip(rng):
     scalars = random_scalar_section(rng, BASE3)
     assert section_from_json(section_to_json(scalars)) == scalars

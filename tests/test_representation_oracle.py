@@ -3,10 +3,12 @@ exhaustive definitions.
 
 ``FiniteMonoid`` decides associativity by Light's test on a generating set,
 and ``validate_representation`` and ``check_morphism`` test their laws on
-the generators only; ``classify`` reads each point's images once.  The
-oracles here scan every triple, pair and point; the properties draw small
-tables, valid and with one corrupted entry, including transformation
-monoids that need several generators.
+the generators only; ``classify`` reads each point's images once, and the
+quotient check of ``decompose_morphism`` one projected row per algebra
+class.  ``_reader`` composes transformations in one call.  The oracles
+here scan every triple, pair and point, and read one point at a time; the
+properties draw small tables, valid and with one corrupted entry,
+including transformation monoids that need several generators.
 """
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from skewlin import (
     FiniteMonoid,
     FiniteRepresentation,
+    IllDefinedQuotientError,
     InvalidMorphismError,
     InvalidRepresentationError,
     RepMorphism,
@@ -25,6 +28,7 @@ from skewlin import (
     decompose_morphism,
     validate_representation,
 )
+from skewlin.representations import _check_quotient, _partition_by_image, _reader
 
 
 # -- oracles --------------------------------------------------------------------
@@ -83,6 +87,18 @@ def traits_by_pairs(rep):
     transitive = all(count > 0 for count in witnesses)
     unique = all(count == 1 for count in witnesses)
     return RepresentationTraits(effective, transitive, effective and transitive and unique)
+
+
+def scattering_pair(action, algebra_classes, carrier_classes, projection):
+    """The message for the first pair of an algebra class and a carrier class
+    whose projected images are not one class, scanning every pair in order,
+    or None when the quotient action is well defined."""
+    for members_a in algebra_classes:
+        for members_m in carrier_classes:
+            images = {projection[action[a][m]] for a in members_a for m in members_m}
+            if len(images) != 1:
+                return f"classes {members_a} x {members_m} scatter across {sorted(images)}"
+    return None
 
 
 def closure_of_unit(monoid):
@@ -197,6 +213,36 @@ def morphisms(draw):
     return RepMorphism(source, target, r, big_r)
 
 
+@st.composite
+def quotient_cases(draw):
+    """An action of ``range(n)`` on ``range(size)`` with a partition of each,
+    with no monoid or morphism behind them: half the time random images,
+    otherwise each image a random member of the class that a random action
+    on the classes names, so that the quotient is well defined, with one
+    entry changed half of those times.  Returns the arguments of
+    ``_check_quotient``."""
+    n, size = draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    algebra_classes, j = _partition_by_image(
+        draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)), n)
+    carrier_classes, big_j = _partition_by_image(
+        draw(st.lists(st.integers(0, max(size - 1, 0)), min_size=size, max_size=size)), size)
+    on_classes = [
+        [draw(st.integers(0, len(carrier_classes) - 1)) for _ in carrier_classes]
+        for _ in algebra_classes
+    ]
+    if draw(st.booleans()):
+        action = [[draw(st.integers(0, size - 1)) for _ in range(size)] for _ in range(n)]
+    else:
+        action = [
+            [draw(st.sampled_from(carrier_classes[on_classes[j[a]][big_j[m]]]))
+             for m in range(size)]
+            for a in range(n)
+        ]
+        if size:
+            action = corrupt(action, draw, size)
+    return action, algebra_classes, carrier_classes, big_j
+
+
 # -- properties -----------------------------------------------------------------
 
 
@@ -243,6 +289,31 @@ def test_generator_check_of_a_morphism_matches_all_pairs(morphism):
         with pytest.raises(InvalidMorphismError) as raised:
             decompose_morphism(morphism)
         assert type(raised.value) is InvalidMorphismError
+
+
+@settings(max_examples=300, deadline=None)
+@given(quotient_cases())
+# two projected rows in one class, each constant on the carrier classes
+@example(([[0, 1], [1, 0]], ((0, 1),), ((0,), (1,)), (0, 1)))
+# one projected row that splits a carrier class
+@example(([[0, 2, 2]], ((0,),), ((0, 1), (2,)), (0, 0, 1)))
+def test_quotient_check_raises_exactly_where_the_pairwise_scan_scatters(case):
+    expected = scattering_pair(*case)
+    if expected is None:
+        _check_quotient(*case)
+    else:
+        with pytest.raises(IllDefinedQuotientError) as raised:
+            _check_quotient(*case)
+        assert str(raised.value) == expected
+
+
+@pytest.mark.parametrize("points", [(), (2,), (3, 0, 3, 1)], ids=["none", "one", "many"])
+def test_reader_reads_a_tuple_at_each_point(points):
+    # itemgetter returns a bare item for one point and rejects none
+    row = (10, 11, 12, 13)
+    labels = {p: f"label {p}" for p in range(4)}
+    assert _reader(points)(row) == tuple(row[p] for p in points)
+    assert _reader(points)(labels) == tuple(labels[p] for p in points)
 
 
 def test_monoids_that_need_several_generators():

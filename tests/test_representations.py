@@ -202,6 +202,26 @@ def test_morphism_of_non_representations_is_rejected():
             decompose_morphism(morphism)
 
 
+@pytest.mark.parametrize("order", [1, 2], ids=["one-element", "Z2"])
+@pytest.mark.parametrize("carrier", [0, 1])
+def test_smallest_carriers_and_monoids(carrier, order):
+    rep = FiniteRepresentation(cyclic_monoid(order), carrier, [[0] * carrier] * order)
+    assert validate_representation(rep)
+    identity = identity_morphism(rep)
+    assert compose_morphisms(identity, identity) == identity
+    d = _assert_factorization(identity)
+    assert (d.quotient, d.image) == (rep, rep)
+    # onto the one-element monoid: one algebra class, the quotient monoid of
+    # one element
+    point = FiniteRepresentation(cyclic_monoid(1), carrier, [[0] * carrier])
+    collapse = RepMorphism(rep, point, (0,) * order, tuple(range(carrier)))
+    d = _assert_factorization(collapse)
+    assert d.algebra_classes == (tuple(range(order)),)
+    assert (d.quotient, d.image) == (point, point)
+    assert representation_from_json(representation_to_json(rep)) == rep
+    assert morphism_from_json(morphism_to_json(collapse), rep, point) == collapse
+
+
 def test_reduced_action_has_same_transformations():
     morphism = cyclic_morphism(6, 3, 1, 0)
     d = decompose_morphism(morphism)
