@@ -8,9 +8,17 @@ singular matrix from a typo:
 * 1 mathematical error (singular / undefined / inconsistent),
 * 2 input error (parse failure, bad flags, incompatible shapes),
 
-with a one-line ``error: <code>[: detail]`` diagnostic on stderr.  A failed
-self-check of the exact kernel, which no input should cause, reports
-``error: internal: <detail>`` with status 1.
+with a one-line ``error: <code>[: detail]`` diagnostic on stderr.  Two
+failures that are not the input's fault also exit 1: a failed self-check of
+the exact kernel, which no input should cause, reports ``error: internal:
+<detail>``, and a failed write of the output, such as to a closed pipe,
+``error: output: <detail>``.  A failed read of a ``--file`` or of standard
+input is the input's, ``error: input: <detail>``.
+
+Parsing enters the argparse tree one level down when it can: a request whose
+first word names a command goes straight to that command's parser, which is
+where the top-level parser would hand the rest of the words anyway.  Every
+other request, help and usage errors included, goes to the top-level parser.
 
 Importing this module loads the linear-algebra core and ``argparse`` only:
 ``json`` is imported where a JSON form is read or written, and the
@@ -20,6 +28,7 @@ request never loads either.
 
 import argparse
 import functools
+import os
 import sys
 from collections import namedtuple
 
@@ -83,8 +92,10 @@ def matrix_json(m):
 
 @functools.cache
 def _parser():
-    """The argument parser, built on first use and shared by every run():
-    parsing reads it and never changes it."""
+    """The top-level argument parser and its map from command name to that
+    command's parser (argparse's own ``choices`` of the subparsers), built on
+    first use and shared by every run(): parsing reads them and never
+    changes them."""
     parser = _Parser(
         prog="skewlin",
         description="Exact skew-field linear algebra on quaternion matrices.",
@@ -123,16 +134,27 @@ def _parser():
     p.add_argument("topic", choices=("paper-example",))
     p.set_defaults(run=_run_demo)
 
-    return parser
+    return parser, sub.choices
+
+
+def _read(path=None):
+    """The text of the file at ``path``, or of standard input.  A failed read
+    is the input's fault: it raises ValueError with the OSError's message, so
+    that run() reports only a failed write as an output error."""
+    try:
+        if path is None:
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise ValueError(str(exc)) from exc
 
 
 def _gather_matrices(args):
     texts = list(args.matrices)
-    for path in args.file:
-        with open(path, encoding="utf-8") as handle:
-            texts.append(handle.read())
+    texts.extend(map(_read, args.file))
     if not texts:
-        texts.append(sys.stdin.read())
+        texts.append(_read())
     if len(texts) != args.arity:
         raise ValueError(f"expected {args.arity} matrix input(s), got {len(texts)}")
     return [parse_matrix(t) for t in texts]
@@ -241,11 +263,7 @@ def _run_repr_decompose(args, out):
     if len(args.file) > 1:
         raise ValueError(f"expected 1 JSON input, got {len(args.file)}")
     try:
-        if args.file:
-            with open(args.file[0], encoding="utf-8") as handle:
-                instance = json.load(handle)
-        else:
-            instance = json.load(sys.stdin)
+        instance = json.loads(_read(*args.file))
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
     if not isinstance(instance, dict):
@@ -282,39 +300,65 @@ def _run_demo(args, out):
 
 
 def run(argv, out=None, err=None):
-    """Parse ``argv`` (no program name) and execute; returns the exit status."""
+    """Parse ``argv`` (no program name; any iterable of strings) and
+    execute; returns the exit status.
+
+    Output and help text go to ``out``, which run() flushes before it
+    returns, so that a write the stream buffered fails here and is reported
+    as an output error; the one ``error:`` line of a failure goes to
+    ``err``."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
+    if out is None:
+        # Python sets sys.stdout to None in a process started without it
+        status, detail = 1, "output: standard output is closed"
+    else:
+        status, detail = _execute(list(argv), out)
+        try:
+            out.flush()
+        except (OSError, ValueError) as exc:  # ValueError: a closed file
+            status, detail = 1, f"output: {exc}"
+    if status:
+        # line breaks that the detail may echo from the input become spaces
+        print("error: " + " ".join(detail.splitlines()), file=err)
+    return status
+
+
+def _execute(argv, out):
+    """Parse and run one request, its output or help text on ``out``;
+    returns the exit status and, for a failure, the detail of its ``error:``
+    line."""
+    parser, commands = _parser()
+    # the top-level parser hands every word after a leading command to that
+    # command's parser, so such a request starts there; any other argv (none,
+    # help, an unknown word, an option first) needs the top-level parser
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = _parser().parse_args(argv)
+        try:
+            args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
+        except _HelpText as exc:
+            out.write(exc.args[0])
+        else:
+            args.run(args, out)
     except _UsageError as exc:
-        return _fail(err, 2, f"usage: {exc}")
-    except _HelpText as exc:
-        out.write(exc.args[0])
-        return 0
-    try:
-        args.run(args, out)
+        return 2, f"usage: {exc}"
     except MathError as exc:
-        return _fail(err, 1, exc.code)
+        return 1, exc.code
     except SingularMatrixError as exc:
         # a kernel self-check that failed is a fault of the program, not
         # a property of the matrix, and says so
         detail = str(exc)
-        return _fail(err, 1, detail if detail.startswith("internal:") else "singular")
+        return 1, detail if detail.startswith("internal:") else "singular"
     except ParseError as exc:
-        return _fail(err, 2, f"parse: {exc}")
+        return 2, f"parse: {exc}"
     except DimensionMismatch as exc:
-        return _fail(err, 2, f"dimension: {exc}")
-    except (ValueError, IndexError, KeyError, OSError) as exc:
-        return _fail(err, 2, f"input: {exc}")
-    return 0
-
-
-def _fail(err, status, detail):
-    """Print the one ``error:`` line; line breaks that the detail may echo
-    from the input become spaces."""
-    print("error: " + " ".join(detail.splitlines()), file=err)
-    return status
+        return 2, f"dimension: {exc}"
+    except (ValueError, IndexError, KeyError) as exc:
+        return 2, f"input: {exc}"
+    except OSError as exc:
+        # _read turns a failed read into ValueError, so this is a failed write
+        return 1, f"output: {exc}"
+    return 0, None
 
 
 def main():
@@ -323,7 +367,17 @@ def main():
     # which may execute in a caller's process.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    sys.exit(run(sys.argv[1:]))
+    status = run(sys.argv[1:])
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # run() has reported the failed write.  Python flushes stdout
+            # again at exit, and what stays buffered would fail a second
+            # time, so send it to the null device (the Python docs' note on
+            # SIGPIPE).
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(status)
 
 
 if __name__ == "__main__":

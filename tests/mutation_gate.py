@@ -9,17 +9,18 @@ occurrence of the old text in the copied file, and runs pytest there, the
 copied ``src/`` first on the path.
 
 A mutant changes a value or drops a check that a test triggers, and one of
-its named tests must fail.  A forced side patches one size-selected fork to
-one of its sides, which gives the same values as the other: on the copy the
-oracles, the CLI transcript and the demo goldens of ``FORCED_RUN`` must
-pass, the entry's named tests left out, and each named test, which pins the
-form that its examples take, must fail.  A side that no test pins names
-none.  A kept side is the proof that the fork can go: a change that deletes
-the fork keeps that side's path, drops both entries, and moves the mutants
-of the deleted text to the path that remains.  ``_back_substitute``'s
-first- and last-unknown shortcuts are not forced: the last unknown must
-still fill ``integral``, which the earlier unknowns read, so no single
-patch takes them off.
+its named tests must fail.  A forced side patches one fork that the input
+selects, by the size of its numbers or shapes or, in the CLI, by the first
+word of argv, to one of its sides, which gives the same values as the other:
+on the copy the oracles, the CLI transcript and the demo goldens of
+``FORCED_RUN`` must pass, the entry's named tests left out, and each named
+test, which pins the path that its examples take, must fail.  A side that no
+test pins names none.  A kept side is the proof that the fork can go: a
+change that deletes the fork keeps that side's path, drops both entries, and
+moves the mutants of the deleted text to the path that remains.
+``_back_substitute``'s first- and last-unknown shortcuts are not forced: the
+last unknown must still fill ``integral``, which the earlier unknowns read,
+so no single patch takes them off.
 
 The script exits 1 when a mutant survives (its tests pass), when a forced
 side fails a test of ``FORCED_RUN`` or passes a named test, when an old
@@ -342,11 +343,16 @@ MUTANTS = [
      '    "Section": "bundles",',
      '    "Section": "representations",',
      ["tests/test_public_api.py::test_lazy_names_are_what_their_module_defines"]),
-    # run: a singular matrix reported with the status of a usage error
+    # _execute: a singular matrix reported with the status of a usage error
     (CLI,
-     '        return _fail(err, 1, detail if detail.startswith("internal:") else "singular")',
-     '        return _fail(err, 2, detail if detail.startswith("internal:") else "singular")',
+     '        return 1, detail if detail.startswith("internal:") else "singular"',
+     '        return 2, detail if detail.startswith("internal:") else "singular"',
      ["tests/test_cli.py::test_inv_singular_diagnostic"]),
+    # _execute: a failed write reported as an input error
+    (CLI,
+     '        return 1, f"output: {exc}"',
+     '        return 2, f"input: {exc}"',
+     ["tests/test_cli.py::test_failed_write_is_an_output_error"]),
     # _require_shared_base: sections over two different bases accepted
     (BUNDLES,
      "    if len(bases) != 1:\n",
@@ -411,6 +417,12 @@ FORCED_SIDES = [
      "                if rw or rx or ry or rz:\n                    common",
      "                if True:\n                    common",
      []),
+    # _execute: every argv parsed by the top-level parser, a leading command
+    # included
+    (CLI,
+     "    command = commands.get(argv[0]) if argv else None\n",
+     "    command = None\n",
+     ["tests/test_cli.py::test_known_command_skips_the_top_level_parser"]),
 ]
 
 # Runs pytest in the child, then exits 99 unless skewlin came from the copy

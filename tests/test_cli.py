@@ -1,6 +1,8 @@
 import contextlib
+import errno
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+import skewlin.cli
 import skewlin.quasidet
 import skewlin.rank
 from skewlin import (
@@ -380,6 +383,78 @@ def test_help_exits_zero(capsys):
     assert capsys.readouterr() == ("", "")
 
 
+class _ClosedPipe(io.StringIO):
+    """An ``out`` that fails as a closed pipe does: at each write, or, as a
+    buffered stream, at the flush of what it holds."""
+
+    def __init__(self, fails_at):
+        super().__init__()
+        self.fails_at = fails_at
+
+    def write(self, text):
+        if self.fails_at == "write":
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self.fails_at == "flush" and self.getvalue():
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("fails_at", ["write", "flush"])
+@pytest.mark.parametrize("argv", [["demo", "paper-example"], ["rank", EXAMPLE_TEXT], ["--help"],
+                                  ["rank", "--help"], ["solve", EXAMPLE_TEXT, "--rhs", "[1, 0]"]],
+                         ids=["demo", "rank", "help", "command-help", "inconsistent"])
+def test_failed_write_is_an_output_error(argv, fails_at):
+    err = io.StringIO()
+    assert run(argv, out=_ClosedPipe(fails_at), err=err) == 1
+    assert err.getvalue() == "error: output: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("argv", [["rank", EXAMPLE_TEXT], ["--help"]], ids=["rank", "help"])
+def test_closed_output_is_an_output_error(tmp_path, monkeypatch, argv):
+    closed = open(tmp_path / "out.txt", "w", encoding="utf-8")
+    closed.close()
+    err = io.StringIO()
+    assert run(argv, out=closed, err=err) == 1
+    assert err.getvalue() == "error: output: I/O operation on closed file.\n"
+    # a process started without standard output has sys.stdout None
+    monkeypatch.setattr(sys, "stdout", None)
+    err = io.StringIO()
+    assert run(argv, err=err) == 1
+    assert err.getvalue() == "error: output: standard output is closed\n"
+
+
+class _FailingIn:
+    """A standard input whose read fails."""
+
+    def read(self, *args):
+        raise OSError(errno.EIO, "Input/output error")
+
+
+@pytest.mark.parametrize("argv", [["rank"], ["repr-decompose"]])
+def test_failed_read_of_stdin_is_an_input_error(monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdin", _FailingIn())
+    assert invoke(argv) == (2, "", "error: input: [Errno 5] Input/output error\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_console_script_reports_a_closed_pipe_once(unbuffered):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "skewlin.cli", "demo", "paper-example"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, "error: output: [Errno 32] Broken pipe\n")
+
+
 class _WatchedOut(io.StringIO):
     """Records whether ``sys.stdout`` was this stream at any write."""
 
@@ -483,6 +558,84 @@ def test_printing_thread_never_reaches_out():
     assert printed
     assert not any(marker in out for out in outputs)
     assert captured.getvalue() == f"{marker}\n" * len(printed)
+
+
+# Per option, values that parse and values that do not
+OPTION_VALUES = {
+    "--kind": ["rc", "cr", "x"],
+    "--format": ["text", "json", "xml"],
+    "--pos": ["1,1", "2,1", "9,9", "1;2"],
+    "--rhs": ["[k, -i]", "[1, 0]", "[1]"],
+    "--file": ["no-such-file.txt", "."],
+    "--help": None,
+}
+COMMANDS = ["qdet", "inv", "rank", "mul", "solve", "repr-decompose", "demo"]
+MATRICES = [EXAMPLE_TEXT, "[k]", "[1, 0; 0, 1]", "[q]"]
+OTHER_WORDS = ["paper-example", "--", "-", "-x", "--bogus", "--bogus=1", "ran", "demos",
+               "nonsense", "-1", "", "rank"]
+HELP_FLAGS = ["-h", "--help", "--he", "--h"]
+
+
+def _random_argv(rng):
+    """An argv drawn from command names, every option in full, abbreviated
+    and ``--opt=value`` form, help flags at any position, ``--`` and unknown
+    words; its first word is a command most of the time, and it may be
+    empty."""
+    argv = [rng.choice(COMMANDS)] if rng.random() < 0.8 else []
+    for _ in range(rng.randrange(6)):
+        roll = rng.random()
+        if roll < 0.4:
+            option, values = rng.choice(list(OPTION_VALUES.items()))
+            spelled = option[:rng.randrange(3, len(option) + 1)]
+            if values is None:
+                argv.append(spelled)
+            elif rng.random() < 0.3:
+                argv.append(f"{spelled}={rng.choice(values)}")
+            else:
+                argv += [spelled, rng.choice(values)]
+        else:
+            argv.append(rng.choice(MATRICES if roll < 0.8 else OTHER_WORDS))
+    if rng.random() < 0.05:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(HELP_FLAGS))
+    return argv
+
+
+def test_dispatch_matches_the_top_level_parser(monkeypatch):
+    rng = random.Random(30)
+    stdins = [EXAMPLE_TEXT, json.dumps(_decompose_instance()), "[1, 2"]
+    requests = [(_random_argv(rng), rng.choice(stdins)) for _ in range(3000)]
+    assert [] in (argv for argv, _ in requests)
+
+    def outcomes():
+        return [invoke(argv, stdin, monkeypatch) for argv, stdin in requests]
+
+    dispatched = outcomes()
+    # the oracle: an empty command map sends every argv to the top-level parser
+    parser, _ = skewlin.cli._parser()
+    monkeypatch.setattr(skewlin.cli, "_parser", lambda: (parser, {}))
+    assert dispatched == outcomes()
+    statuses = {status for status, _, _ in dispatched}
+    assert statuses == {0, 1, 2}
+
+
+@pytest.mark.parametrize("wrap", [tuple, lambda argv: (word for word in argv)],
+                         ids=["tuple", "generator"])
+def test_argv_may_be_any_iterable(wrap):
+    for argv in (["rank", EXAMPLE_TEXT], ["rank", "--kind", "cr", EXAMPLE_TEXT], ["--help"],
+                 ["nonsense"], [], ["qdet", EXAMPLE_TEXT]):
+        out, err = io.StringIO(), io.StringIO()
+        status = run(wrap(argv), out=out, err=err)
+        assert (status, out.getvalue(), err.getvalue()) == invoke(argv)
+
+
+def test_known_command_skips_the_top_level_parser(monkeypatch):
+    parser, _ = skewlin.cli._parser()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser ran")
+
+    monkeypatch.setattr(parser, "parse_args", refuse)
+    assert invoke(["rank", EXAMPLE_TEXT]) == (0, "rank: 1\nminor rows: 1\nminor cols: 1\n", "")
 
 
 VOCABULARY = [

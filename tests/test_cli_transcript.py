@@ -95,6 +95,11 @@ CASES = [
     ["mul", "[i]"],
     ["qdet", "--pos", "5,5", EXAMPLE],
     ["qdet", "--pos", "1;2", SQUARE],
+    # failed reads, which are the input's fault
+    ["rank", "--file", "no-such-file.txt"],
+    ["rank", "--file", "."],
+    ["repr-decompose", "--file", "no-such-file.txt"],
+    ["repr-decompose", "--file", "."],
     # usage errors
     [],
     ["qdet", SQUARE],
